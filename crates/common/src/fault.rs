@@ -1,28 +1,27 @@
 //! Deterministic fault injection for robustness testing.
 //!
 //! A *fault point* is a named site in the engine (`"exec.scan"`,
-//! `"service.dispatch"`, ...) guarded by the [`faultpoint!`](crate::faultpoint) macro.
-//! Disarmed — the default, and the only state production code ever
-//! sees — a fault point is a single relaxed atomic load and a
-//! predicted-not-taken branch: effectively free. Armed via [`arm`], each
-//! visit consults a seeded SplitMix64 stream and, with the configured
-//! probability, either returns [`SgqError::Transient`] (the common case:
-//! a classified, retryable failure) or panics (to exercise the serving
-//! layer's panic containment).
+//! `"service.dispatch"`, ...) guarded by the [`faultpoint!`](crate::faultpoint) macro,
+//! which reads the [`FaultPlan`] its caller carries. Disarmed — no plan,
+//! the default, and the only state production code ever sees — a fault
+//! point is a single predicted-not-taken branch on `None`: effectively
+//! free. With a plan, each visit consults a seeded SplitMix64 stream
+//! and, with the configured probability, either returns
+//! [`SgqError::Transient`] (the common case: a classified, retryable
+//! failure) or panics (to exercise the serving layer's panic
+//! containment).
 //!
 //! Determinism: the decision stream is a single seeded generator
 //! consumed in visit order, so a *sequential* workload replays the exact
 //! same fault schedule for the same seed. The chaos harness drives the
 //! catalog with one client for precisely this reason.
 //!
-//! The state is process-global. Tests that arm faults must serialise
-//! against each other (the service crate keeps all of them in one
-//! integration binary behind a mutex) and must [`disarm`] on every exit
-//! path — [`ArmedGuard`] does this on drop.
+//! Scope: a plan is an object, not process state. The query service
+//! owns the plan armed on it and hands it to every query it runs, so
+//! services (and the tests driving them) never see each other's faults.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::error::{Result, SgqError};
 use crate::rng::Rng;
@@ -62,129 +61,107 @@ impl FaultConfig {
     }
 }
 
-/// Fire counts per site from an armed session, returned by [`disarm`].
+/// Fire (or visit) counts per site of one [`FaultPlan`].
 pub type FireReport = BTreeMap<&'static str, u64>;
 
+#[derive(Debug)]
 struct FaultState {
     rng: Rng,
-    probability: f64,
-    site: Option<&'static str>,
-    kind: FaultKind,
     fired: FireReport,
     visited: FireReport,
 }
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static STATE: Mutex<Option<FaultState>> = Mutex::new(None);
-
-/// Whether any fault plan is armed. This is the fast-path guard the
-/// [`faultpoint!`](crate::faultpoint) macro checks before touching the mutex: one relaxed
-/// load when disarmed.
-#[inline]
-pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
+/// An armed fault plan: the configuration plus its decision stream and
+/// per-site counters. Shared as `Arc<FaultPlan>` by everything that
+/// runs under it.
+#[derive(Debug)]
+pub struct FaultPlan {
+    probability: f64,
+    site: Option<&'static str>,
+    kind: FaultKind,
+    state: Mutex<FaultState>,
 }
 
-/// Installs a fault plan. Replaces any previously armed plan (its fire
-/// report is discarded).
-pub fn arm(config: FaultConfig) {
-    let mut guard = STATE.lock().unwrap();
-    *guard = Some(FaultState {
-        rng: Rng::seed_from_u64(config.seed),
-        probability: config.probability.clamp(0.0, 1.0),
-        site: config.site,
-        kind: config.kind,
-        fired: FireReport::new(),
-        visited: FireReport::new(),
-    });
-    ARMED.store(true, Ordering::Relaxed);
-}
-
-/// Removes the armed plan and returns how many times each site fired
-/// (empty if nothing was armed).
-pub fn disarm() -> FireReport {
-    let mut guard = STATE.lock().unwrap();
-    ARMED.store(false, Ordering::Relaxed);
-    guard.take().map(|s| s.fired).unwrap_or_default()
-}
-
-/// Per-site visit counts for the armed plan (how often execution reached
-/// each fault point, fired or not). Empty when disarmed.
-pub fn visit_report() -> FireReport {
-    STATE
-        .lock()
-        .unwrap()
-        .as_ref()
-        .map(|s| s.visited.clone())
-        .unwrap_or_default()
-}
-
-/// Arms a plan and disarms it when the returned guard drops, so a
-/// panicking or early-returning test cannot leak an armed plan into the
-/// next one.
-pub fn armed_scope(config: FaultConfig) -> ArmedGuard {
-    arm(config);
-    ArmedGuard { _private: () }
-}
-
-/// Disarms the global fault plan on drop. See [`armed_scope`].
-pub struct ArmedGuard {
-    _private: (),
-}
-
-impl Drop for ArmedGuard {
-    fn drop(&mut self) {
-        let _ = disarm();
+impl FaultPlan {
+    /// A fresh plan: its decision stream starts at `config.seed`.
+    pub fn new(config: FaultConfig) -> Self {
+        FaultPlan {
+            probability: config.probability.clamp(0.0, 1.0),
+            site: config.site,
+            kind: config.kind,
+            state: Mutex::new(FaultState {
+                rng: Rng::seed_from_u64(config.seed),
+                fired: FireReport::new(),
+                visited: FireReport::new(),
+            }),
+        }
     }
-}
 
-/// The slow path behind [`faultpoint!`](crate::faultpoint): consults the armed plan and
-/// fires with the configured probability. Call only when [`armed`] is
-/// true (calling while disarmed is a harmless no-op).
-pub fn check(site: &'static str) -> Result<()> {
-    let mut guard = STATE.lock().unwrap();
-    let Some(state) = guard.as_mut() else {
-        return Ok(());
-    };
-    if let Some(only) = state.site {
-        if only != site {
+    /// The state stays consistent at every step (counters and the
+    /// generator only advance), so a poisoned lock is still usable.
+    fn lock(&self) -> MutexGuard<'_, FaultState> {
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// How many times each site fired so far.
+    pub fn fired(&self) -> FireReport {
+        self.lock().fired.clone()
+    }
+
+    /// How often execution reached each site the plan targets, fired or
+    /// not.
+    pub fn visits(&self) -> FireReport {
+        self.lock().visited.clone()
+    }
+
+    /// The slow path behind [`faultpoint!`](crate::faultpoint): fires
+    /// at `site` with the configured probability.
+    pub fn check(&self, site: &'static str) -> Result<()> {
+        if self.site.is_some_and(|only| only != site) {
             return Ok(());
         }
-    }
-    *state.visited.entry(site).or_insert(0) += 1;
-    if !state.rng.gen_bool(state.probability) {
-        return Ok(());
-    }
-    *state.fired.entry(site).or_insert(0) += 1;
-    match state.kind {
-        FaultKind::Error => Err(SgqError::Transient { site }),
-        FaultKind::Panic => {
-            // Release the lock before unwinding so the containment layer
-            // (and later tests) can still reach the fault state.
-            drop(guard);
-            panic!("injected fault at {site}");
+        let mut state = self.lock();
+        *state.visited.entry(site).or_insert(0) += 1;
+        if !state.rng.gen_bool(self.probability) {
+            return Ok(());
+        }
+        *state.fired.entry(site).or_insert(0) += 1;
+        // Release the lock before unwinding so the containment layer
+        // can still read the plan's reports.
+        drop(state);
+        match self.kind {
+            FaultKind::Error => Err(SgqError::Transient { site }),
+            FaultKind::Panic => panic!("injected fault at {site}"),
         }
     }
 }
 
-/// Guards a named fault-injection site.
+/// Guards a named fault-injection site under the caller's plan: an
+/// `Option` of a [`FaultPlan`] reference or `Arc`.
 ///
-/// Expands to a relaxed atomic load when disarmed — zero cost on every
-/// production path — and to a [`fault::check`](check) call (which may
+/// Expands to one branch on `None` when disarmed — zero cost on every
+/// production path — and to a [`FaultPlan::check`] call (which may
 /// return `Err(SgqError::Transient)` via `?`, or panic under a
 /// [`FaultKind::Panic`] plan) when a plan is armed.
 ///
 /// ```
-/// # fn scan() -> sgq_common::Result<()> {
-/// sgq_common::faultpoint!("exec.scan");
-/// # Ok(())
-/// # }
+/// use std::sync::Arc;
+/// use sgq_common::fault::{FaultConfig, FaultPlan};
+///
+/// fn scan(plan: &Option<Arc<FaultPlan>>) -> sgq_common::Result<()> {
+///     sgq_common::faultpoint!(plan, "exec.scan");
+///     Ok(())
+/// }
+///
+/// assert!(scan(&None).is_ok());
+/// let plan = Some(Arc::new(FaultPlan::new(FaultConfig::errors(1, 1.0))));
+/// assert!(scan(&plan).is_err());
 /// ```
 #[macro_export]
 macro_rules! faultpoint {
-    ($site:literal) => {
-        if $crate::fault::armed() {
-            $crate::fault::check($site)?;
+    ($plan:expr, $site:literal) => {
+        if let Some(plan) = $plan.as_deref() {
+            plan.check($site)?;
         }
     };
 }
@@ -193,62 +170,51 @@ macro_rules! faultpoint {
 mod tests {
     use super::*;
 
-    // Fault state is process-global; serialise the tests in this module.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn visit(site: &'static str) -> Result<()> {
-        faultpoint!("test.a");
-        faultpoint!("test.b");
-        let _ = site;
+    fn visit(plan: Option<&FaultPlan>) -> Result<()> {
+        faultpoint!(plan, "test.a");
+        faultpoint!(plan, "test.b");
         Ok(())
     }
 
     #[test]
     fn disarmed_is_a_no_op() {
-        let _l = locked();
-        let _ = disarm();
-        assert!(!armed());
         for _ in 0..100 {
-            visit("test.a").unwrap();
+            visit(None).unwrap();
         }
-        assert!(disarm().is_empty());
+        // A plan that never fires only counts visits.
+        let plan = FaultPlan::new(FaultConfig::errors(1, 0.0));
+        visit(Some(&plan)).unwrap();
+        assert!(plan.fired().is_empty());
     }
 
     #[test]
     fn probability_one_fires_every_visit() {
-        let _l = locked();
-        let _guard = armed_scope(FaultConfig::errors(42, 1.0));
-        let err = visit("test.a").unwrap_err();
+        let plan = FaultPlan::new(FaultConfig::errors(42, 1.0));
+        let err = visit(Some(&plan)).unwrap_err();
         assert_eq!(err, SgqError::Transient { site: "test.a" });
     }
 
     #[test]
     fn site_filter_restricts_firing() {
-        let _l = locked();
-        let _guard = armed_scope(FaultConfig {
+        let plan = FaultPlan::new(FaultConfig {
             seed: 7,
             probability: 1.0,
             site: Some("test.b"),
             kind: FaultKind::Error,
         });
         // test.a is visited first but filtered out; test.b fires.
-        let err = visit("test.a").unwrap_err();
+        let err = visit(Some(&plan)).unwrap_err();
         assert_eq!(err, SgqError::Transient { site: "test.b" });
-        let report = disarm();
+        let report = plan.fired();
         assert_eq!(report.get("test.b"), Some(&1));
         assert_eq!(report.get("test.a"), None);
     }
 
     #[test]
     fn same_seed_replays_the_same_schedule() {
-        let _l = locked();
         let run = |seed: u64| -> Vec<bool> {
-            let _guard = armed_scope(FaultConfig::errors(seed, 0.3));
-            (0..64).map(|_| visit("test.a").is_err()).collect()
+            let plan = FaultPlan::new(FaultConfig::errors(seed, 0.3));
+            (0..64).map(|_| visit(Some(&plan)).is_err()).collect()
         };
         let a = run(99);
         let b = run(99);
@@ -261,32 +227,31 @@ mod tests {
 
     #[test]
     fn fire_report_counts_per_site() {
-        let _l = locked();
-        arm(FaultConfig::errors(5, 1.0));
+        let plan = FaultPlan::new(FaultConfig::errors(5, 1.0));
         for _ in 0..3 {
-            let _ = visit("test.a");
+            let _ = visit(Some(&plan));
         }
-        let visits = visit_report();
-        assert_eq!(visits.get("test.a"), Some(&3));
-        let report = disarm();
+        assert_eq!(plan.visits().get("test.a"), Some(&3));
+        let report = plan.fired();
         assert_eq!(report.get("test.a"), Some(&3), "fires on first site only");
-        assert!(!armed());
+        assert_eq!(report.get("test.b"), None);
     }
 
     #[test]
     fn panic_kind_panics_with_the_site_name() {
-        let _l = locked();
-        let _guard = armed_scope(FaultConfig {
+        let plan = FaultPlan::new(FaultConfig {
             seed: 1,
             probability: 1.0,
             site: None,
             kind: FaultKind::Panic,
         });
         let caught = std::panic::catch_unwind(|| {
-            let _ = visit("test.a");
+            let _ = visit(Some(&plan));
         })
         .unwrap_err();
         let msg = caught.downcast_ref::<String>().cloned().unwrap_or_default();
         assert_eq!(msg, "injected fault at test.a");
+        // The plan stays readable after the injected panic.
+        assert_eq!(plan.fired().get("test.a"), Some(&1));
     }
 }

@@ -3,11 +3,11 @@
 //!
 //! A reference pass executes every catalog query on a fault-free
 //! service and records its rows. Then, for each configured seed, a
-//! [`sgq_common::fault`] plan is armed (every fault site, seeded
-//! SplitMix64, fixed per-visit probability) and the catalog is replayed
-//! by a single sequential client — sequential so the seeded decision
-//! stream replays the same fault schedule for the same seed. Every
-//! query must either
+//! [`sgq_common::FaultPlan`] is armed on that service (every fault
+//! site, seeded SplitMix64, fixed per-visit probability) and the catalog
+//! is replayed by a single sequential client — sequential so the
+//! seeded decision stream replays the same fault schedule for the same
+//! seed. Every query must either
 //!
 //! * complete **bit-identically** to the reference rows (faults that
 //!   fired were retried away by the backoff helper), or
@@ -27,8 +27,8 @@
 
 use std::fmt::Write as _;
 
-use sgq_common::fault::{self, FaultConfig};
 use sgq_common::json::JsonValue;
+use sgq_common::FaultConfig;
 use sgq_datasets::ldbc::{self, LdbcConfig};
 use sgq_service::{retry_with_backoff, QueryOptions, RetryPolicy, Service, ServiceConfig};
 
@@ -121,7 +121,6 @@ pub fn chaos(cfg: &ChaosConfig) -> String {
     let opts = QueryOptions::default();
 
     // Reference pass, disarmed: every catalog query must succeed.
-    let _ = fault::disarm();
     let reference: Vec<Vec<Vec<u32>>> = queries
         .iter()
         .map(|q| {
@@ -139,7 +138,7 @@ pub fn chaos(cfg: &ChaosConfig) -> String {
     // seeded fault schedule is deterministic.
     let mut passes = Vec::new();
     for &seed in &cfg.seeds {
-        fault::arm(FaultConfig::errors(seed, cfg.probability));
+        service.arm_faults(FaultConfig::errors(seed, cfg.probability));
         let mut identical = 0usize;
         let mut retryable_failures = 0usize;
         let mut retries = 0u64;
@@ -177,7 +176,7 @@ pub fn chaos(cfg: &ChaosConfig) -> String {
                 "seed {seed}: a query budget outlived query {i}"
             );
         }
-        let fires = fault::disarm().into_iter().collect::<Vec<_>>();
+        let fires = service.disarm_faults().into_iter().collect::<Vec<_>>();
         passes.push(ChaosPass {
             seed,
             identical,
@@ -305,13 +304,9 @@ pub fn chaos_smoke() -> String {
 mod tests {
     use super::*;
 
-    // The fault plan is process-global state: arming it here would
-    // inject transients into every other harness test running
-    // concurrently in this binary. CI exercises the real gate as its
-    // own process (`sgq-experiments chaos --smoke`); run it locally via
-    // `cargo test -p sgq_harness chaos -- --ignored --test-threads 1`.
+    // The fault plan is armed on the experiment's own service, so the
+    // gate runs alongside the other harness tests.
     #[test]
-    #[ignore = "arms process-global fault injection; CI runs it as a separate process"]
     fn chaos_smoke_gate_holds() {
         let out = chaos_smoke();
         assert!(out.contains("\"worker_panics\": 0"), "{out}");

@@ -213,7 +213,7 @@ pub fn run_layouts(cfg: &LayoutsConfig) -> Vec<LayoutRecord> {
 }
 
 /// Median of `values` (0.0 when empty); sorts in place.
-fn median(values: &mut [f64]) -> f64 {
+pub(crate) fn median(values: &mut [f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }

@@ -13,21 +13,25 @@
 //! * the slow-query log captures every query when the threshold is
 //!   floored, and the per-operator-kind profiles reach the metrics
 //!   snapshot,
-//! * the *disabled* tracer costs < 5% on the raw executor hot loop
-//!   (best-of-N rounds, so scheduler noise does not mask the signal).
+//! * the *disabled* tracer costs < 5% on the raw executor hot loop,
+//!   judged on the median ratio of interleaved baseline/disabled
+//!   execution pairs and reported beside the A/A (baseline vs
+//!   baseline) noise floor.
 //!
 //! The smoke variant ([`observe_smoke`]) is the CI gate; the full
 //! variant prints the same report at a larger scale without asserting.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
+use std::time::Instant;
 
 use sgq_common::json::{self, JsonValue};
 use sgq_datasets::yago::{self, YagoConfig};
-use sgq_obs::{chrome_traces_json, QueryTrace, QueryTraceBuilder, Tracer};
+use sgq_obs::{chrome_traces_json, QueryTrace, Tracer};
 use sgq_ra::exec::{execute_plan, ExecContext};
 use sgq_service::{QueryOptions, Service, ServiceConfig};
 
+use crate::layouts::median;
 use crate::runner::{prepare_relational, query_for, Approach, Backend, RunConfig};
 
 /// Tolerance (µs) for span-boundary comparisons: phase spans are
@@ -38,9 +42,9 @@ const EDGE_SLACK_US: u64 = 3;
 /// Maximum disabled-tracer overhead vs the untraced executor loop.
 const MAX_DISABLED_OVERHEAD: f64 = 0.05;
 
-/// Absolute slack (µs) added to the overhead gate so micro-noise on a
-/// tiny smoke fixture cannot fail a check whose true cost is one
-/// relaxed atomic load per query.
+/// Absolute slack (µs per `overhead_reps` executions) added to the
+/// overhead gate so micro-noise on a tiny smoke fixture cannot fail a
+/// check whose true cost is one relaxed atomic load per query.
 const OVERHEAD_SLACK_US: f64 = 100.0;
 
 /// Configuration for the `observe` experiment.
@@ -50,9 +54,10 @@ pub struct ObserveConfig {
     pub yago_scale: f64,
     /// Per-query timeout (ms).
     pub timeout_ms: u64,
-    /// Executor repetitions per overhead-measurement round.
+    /// Interleaved overhead pairs per round.
     pub overhead_reps: usize,
-    /// Overhead-measurement rounds (the best round is compared).
+    /// Overhead-measurement rounds (`overhead_rounds × overhead_reps`
+    /// pairs in all; their median ratio is compared).
     pub overhead_rounds: usize,
 }
 
@@ -187,43 +192,71 @@ fn check_chrome_export(traces: &[Arc<QueryTrace>]) -> usize {
     rendered.len()
 }
 
-/// Best-of-N-rounds hot-loop timing: untraced executor vs the same loop
-/// behind a *disabled* tracer's `should_trace` check, plus the fully
-/// traced loop (informational). Returns µs per round (best).
+/// Medians over the interleaved pairs of [`measure_overhead`].
+struct Overhead {
+    /// One untraced execution (µs).
+    base_us: f64,
+    /// Execution behind the disabled tracer over its paired baseline.
+    disabled: f64,
+    /// A second baseline execution over the first: the A/A noise floor.
+    aa: f64,
+    /// A fully traced execution over the baseline (informational).
+    traced: f64,
+}
+
+/// Hot-loop timing of the untraced executor against the same execution
+/// behind a *disabled* tracer's `should_trace` check. The two differ by
+/// one relaxed load, so comparing the best of separate blocks only tests
+/// noise against noise. Instead every pair times one baseline and one
+/// disabled execution back to back — alternating which goes first, so
+/// drift cancels — plus a second baseline (the A/A control) and a traced
+/// execution, and the per-pair ratios are reduced to their medians: a
+/// pair the scheduler preempted is one outlier the median ignores.
 fn measure_overhead(
     store: &sgq_ra::RelStore,
     plan: &sgq_ra::PhysPlan,
     cfg: &ObserveConfig,
-) -> (f64, f64, f64) {
+) -> Overhead {
     let tracer = Tracer::new(4); // stays disabled
-    let mut tb = QueryTraceBuilder::standalone("overhead-measurement");
-    let (mut base_best, mut disabled_best, mut traced_best) = (f64::MAX, f64::MAX, f64::MAX);
-    for _ in 0..cfg.overhead_rounds {
-        let span = tb.begin("baseline");
-        for _ in 0..cfg.overhead_reps {
-            let mut ctx = ExecContext::with_timeout(cfg.timeout_ms);
-            let _ = execute_plan(plan, store, &mut ctx);
+    let time = |kind: &str| {
+        let start = Instant::now();
+        let mut ctx = ExecContext::with_timeout(cfg.timeout_ms);
+        match kind {
+            "traced" => {
+                let _ = sgq_ra::exec::execute_plan_traced(plan, store, &mut ctx);
+            }
+            "disabled" => {
+                // The exact per-query cost the service pays with tracing
+                // off: one relaxed atomic load.
+                assert!(!tracer.should_trace());
+                let _ = execute_plan(plan, store, &mut ctx);
+            }
+            _ => {
+                let _ = execute_plan(plan, store, &mut ctx);
+            }
         }
-        base_best = base_best.min(tb.end(span) as f64);
-
-        let span = tb.begin("disabled");
-        for _ in 0..cfg.overhead_reps {
-            // The exact per-query cost the service pays with tracing
-            // off: one relaxed atomic load.
-            assert!(!tracer.should_trace());
-            let mut ctx = ExecContext::with_timeout(cfg.timeout_ms);
-            let _ = execute_plan(plan, store, &mut ctx);
-        }
-        disabled_best = disabled_best.min(tb.end(span) as f64);
-
-        let span = tb.begin("traced");
-        for _ in 0..cfg.overhead_reps {
-            let mut ctx = ExecContext::with_timeout(cfg.timeout_ms);
-            let _ = sgq_ra::exec::execute_plan_traced(plan, store, &mut ctx);
-        }
-        traced_best = traced_best.min(tb.end(span) as f64);
+        start.elapsed().as_secs_f64() * 1e6
+    };
+    let (mut base, mut disabled, mut aa, mut traced) = (vec![], vec![], vec![], vec![]);
+    for pair in 0..cfg.overhead_rounds * cfg.overhead_reps {
+        let (b, d) = if pair % 2 == 0 {
+            let b = time("baseline");
+            (b, time("disabled"))
+        } else {
+            let d = time("disabled");
+            (time("baseline"), d)
+        };
+        aa.push(time("baseline") / b);
+        traced.push(time("traced") / b);
+        disabled.push(d / b);
+        base.push(b);
     }
-    (base_best, disabled_best, traced_best)
+    Overhead {
+        base_us: median(&mut base),
+        disabled: median(&mut disabled),
+        aa: median(&mut aa),
+        traced: median(&mut traced),
+    }
 }
 
 fn run_observe(cfg: &ObserveConfig, gate: bool) -> String {
@@ -337,27 +370,28 @@ fn run_observe(cfg: &ObserveConfig, gate: bool) -> String {
             Some((plan, q.name))
         })
         .expect("at least one catalog query plans");
-    let (base, disabled, traced) = measure_overhead(&runner_session.store, &plan, cfg);
-    let overhead = (disabled - base) / base.max(1.0);
+    let m = measure_overhead(&runner_session.store, &plan, cfg);
+    let overhead = m.disabled - 1.0;
     let _ = writeln!(
         out,
-        "overhead ({} x{} reps, best of {} rounds): untraced {:.0} µs, \
-         disabled tracer {:.0} µs ({:+.2}%), traced {:.0} µs ({:+.2}%)",
+        "overhead ({}, median of {} interleaved pairs): untraced {:.1} µs, \
+         disabled tracer {:+.2}% (A/A noise floor {:+.2}%), traced {:+.2}%",
         plan_query,
-        cfg.overhead_reps,
-        cfg.overhead_rounds,
-        base,
-        disabled,
+        cfg.overhead_rounds * cfg.overhead_reps,
+        m.base_us,
         overhead * 100.0,
-        traced,
-        (traced - base) / base.max(1.0) * 100.0,
+        (m.aa - 1.0) * 100.0,
+        (m.traced - 1.0) * 100.0,
     );
     if gate {
         assert!(
-            disabled <= base * (1.0 + MAX_DISABLED_OVERHEAD) + OVERHEAD_SLACK_US,
-            "disabled tracer overhead {:.2}% exceeds {}%",
+            overhead
+                <= MAX_DISABLED_OVERHEAD
+                    + OVERHEAD_SLACK_US / (m.base_us * cfg.overhead_reps as f64).max(1.0),
+            "disabled tracer overhead {:.2}% exceeds {}% (A/A noise floor {:+.2}%)",
             overhead * 100.0,
-            MAX_DISABLED_OVERHEAD * 100.0
+            MAX_DISABLED_OVERHEAD * 100.0,
+            (m.aa - 1.0) * 100.0
         );
         let _ = writeln!(out, "observe smoke: all gates passed");
     }

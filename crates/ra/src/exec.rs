@@ -26,32 +26,39 @@
 //! endpoint filters run as binary searches in the store's sorted label
 //! sets.
 //!
-//! **Intra-query parallelism.** With [`ExecContext::dop`] above 1, the
-//! probe side of hash/index (semi-)joins and the scan side of hashed
-//! filtered scans are split into morsels (see [`mod@crate::parallel`])
-//! once the probe clears [`ExecContext::parallel_threshold`]. Each
-//! morsel runs as an owned task (Arc-cloned probe buffer, shared
-//! read-only build side) and the per-morsel outputs are merged back to
-//! the canonical form — order-preserving filters concatenate, re-sorting
-//! joins merge-dedup per-morsel sorted runs — so a parallel run is
-//! bit-identical to the serial one. Inside a fixpoint this means each
-//! round's delta probe parallelises against the round-cached static
-//! build sides for free. The deadline and row budget become shared
-//! atomics (`Limits`): the first morsel to breach trips a cancel flag
-//! every other morsel polls, bounding overshoot to about one in-flight
-//! morsel per worker.
+//! **Intra-query parallelism.** Each row-at-a-time operator — hash-join
+//! probe, hash semi-join filter, index join, index semi-join — is one
+//! *kernel*: a function over a probe row range `[start, end)` and the
+//! query's `Limits` that polls the deadline, emits its canonical run and
+//! records its own rows. Serial execution is that kernel run inline over
+//! the single range `[0, len)` on borrowed inputs. With
+//! [`ExecContext::dop`] above 1 and a probe past
+//! [`ExecContext::parallel_threshold`], the range is split into morsels
+//! (see [`mod@crate::parallel`]): each morsel task owns handles on the
+//! inputs (Arc-shared probe buffer and build side) and calls the same
+//! kernel, and the runs merge back to the canonical form —
+//! order-preserving kernels concatenate, re-sorting ones merge-dedup —
+//! so a parallel run is bit-identical to the serial one. Inside a
+//! fixpoint each round's delta probe parallelises against the
+//! round-cached static build sides for free. `Limits` is built once per
+//! query and shared by every poll and record: the first morsel to breach
+//! the deadline or a budget trips a cancel flag every other morsel
+//! polls, bounding overshoot to about one in-flight morsel per worker.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use sgq_common::{
-    faultpoint, relation_bytes, ColId, FxHashMap, NodeId, QueryBudget, RecVarId, Result, SgqError,
+    faultpoint, relation_bytes, ColId, EdgeLabelId, FaultPlan, FxHashMap, NodeId, NodeLabelId,
+    QueryBudget, RecVarId, Result, SgqError,
 };
+use sgq_graph::Csr;
 use sgq_obs::{OpSpan, OpTraceBuilder, TraceClock};
 
 use crate::parallel::{self, TaskScheduler};
 use crate::plan::{plan, PhysOp, PhysPlan};
+use crate::storage::RelStore;
 use crate::table::{normalize_flat, JoinIndex, Relation, SemiKeys, POLL_MASK};
 use crate::term::RaTerm;
 
@@ -115,13 +122,14 @@ pub struct ExecContext {
     /// The scheduler parallel sections run on: injected by the service
     /// (its shared, bounded scheduler) or lazily the process-global one.
     scheduler: Option<Arc<TaskScheduler>>,
-    /// Trips when any morsel breaches the deadline or row budget, so
-    /// sibling morsels stop at their next poll.
-    cancelled: Arc<AtomicBool>,
     /// Memory budget charged at every materialisation point (rows ×
     /// arity × 4 bytes), shared with morsel workers. `None` (the
     /// default) skips memory accounting entirely.
     pub budget: Option<Arc<QueryBudget>>,
+    /// Fault-injection plan consulted at the executor's fault points
+    /// (`exec.scan`, `exec.hash_build`, `exec.csr_probe`,
+    /// `exec.fixpoint_round`). `None` (the default) disarms them.
+    pub fault: Option<Arc<FaultPlan>>,
 }
 
 impl Default for ExecContext {
@@ -144,8 +152,8 @@ impl Default for ExecContext {
             replan_factor: REPLAN_FACTOR,
             replans: 0,
             scheduler: None,
-            cancelled: Arc::new(AtomicBool::new(false)),
             budget: None,
+            fault: None,
         }
     }
 }
@@ -176,93 +184,40 @@ impl ExecContext {
     pub fn set_scheduler(&mut self, scheduler: Arc<TaskScheduler>) {
         self.scheduler = Some(scheduler);
     }
-
-    fn check(&self) -> Result<()> {
-        match self.deadline {
-            Some(d) if Instant::now() > d => Err(SgqError::Timeout {
-                limit_ms: self.limit_ms,
-            }),
-            _ => Ok(()),
-        }
-    }
-
-    /// Accounts a materialised relation and enforces the row budget *at
-    /// materialisation time*: the error fires on the batch that crosses
-    /// the budget, so an oversized operator can overshoot by at most its
-    /// own output (not until some later operator happens to poll — a
-    /// top-level operator would never have been polled again at all).
-    fn record(&mut self, rel: &Relation) -> Result<()> {
-        let total = self.rows.fetch_add(rel.len(), Ordering::Relaxed) + rel.len();
-        if self.max_rows > 0 && total > self.max_rows {
-            return Err(SgqError::RowBudget {
-                rows: total,
-                budget: self.max_rows,
-            });
-        }
-        if let Some(budget) = &self.budget {
-            budget.charge(relation_bytes(rel.len(), rel.arity()))?;
-        }
-        Ok(())
-    }
-
-    /// The shareable view of this context's limits, handed to morsel
-    /// workers.
-    fn limits(&self) -> Limits {
-        Limits {
-            deadline: self.deadline,
-            limit_ms: self.limit_ms,
-            max_rows: self.max_rows,
-            rows: Arc::clone(&self.rows),
-            cancelled: Arc::clone(&self.cancelled),
-            budget: self.budget.clone(),
-        }
-    }
-
-    /// Opens a parallel section over a `probe_rows`-row probe side, or
-    /// `None` when the operator should stay serial: `dop` is 1, the
-    /// probe is under the cost threshold, or it fits a single morsel.
-    /// The serial path never touches the scheduler at all.
-    fn parallel_section(&mut self, probe_rows: usize) -> Option<ParSection> {
-        if self.dop <= 1 || probe_rows < self.parallel_threshold {
-            return None;
-        }
-        let morsel = parallel::morsel_size(probe_rows, self.dop, self.morsel_rows);
-        if morsel >= probe_rows {
-            return None;
-        }
-        let sched = match &self.scheduler {
-            Some(s) => Arc::clone(s),
-            None => {
-                let s = parallel::global();
-                self.scheduler = Some(Arc::clone(&s));
-                s
-            }
-        };
-        Some(ParSection {
-            sched,
-            morsel,
-            dop: self.dop,
-            limits: self.limits(),
-        })
-    }
 }
 
-/// The thread-shareable slice of [`ExecContext`]: deadline, row budget
-/// and the shared counters every morsel worker polls and records into.
+/// One query's limits — deadline, row budget, memory budget — and the
+/// shared counters every poll and record goes through, serial operators
+/// and morsel workers alike.
 #[derive(Clone, Debug)]
 struct Limits {
     deadline: Option<Instant>,
     limit_ms: u64,
     max_rows: usize,
     rows: Arc<AtomicUsize>,
+    /// Trips when any poll or record breaches a limit, so sibling
+    /// morsels stop at their next poll.
     cancelled: Arc<AtomicBool>,
     budget: Option<Arc<QueryBudget>>,
 }
 
 impl Limits {
-    /// The morsel-side cooperative check: exits fast once a sibling
-    /// tripped the cancel flag, else checks the deadline (and trips the
-    /// flag on breach so siblings stop too).
+    /// The limits of one query run under `ctx` (a fresh cancel flag; the
+    /// row counter is the context's own).
+    fn of(ctx: &ExecContext) -> Limits {
+        Limits {
+            deadline: ctx.deadline,
+            limit_ms: ctx.limit_ms,
+            max_rows: ctx.max_rows,
+            rows: Arc::clone(&ctx.rows),
+            cancelled: Arc::new(AtomicBool::new(false)),
+            budget: ctx.budget.clone(),
+        }
+    }
+
+    /// The cooperative check: exits fast once a sibling morsel tripped
+    /// the cancel flag, else checks the deadline (and trips the flag on
+    /// breach so siblings stop too).
     fn poll(&self) -> Result<()> {
         if self.cancelled.load(Ordering::Relaxed) {
             return Err(parallel::cancelled());
@@ -278,11 +233,13 @@ impl Limits {
         Ok(())
     }
 
-    /// Accounts one morsel's output rows against the shared row and
-    /// memory budgets; a breach trips the cancel flag, so the overshoot
-    /// is bounded by the morsels already in flight (about one per
-    /// worker). Budget errors are *real* errors (not cancel sentinels),
-    /// so [`ParSection::execute`] propagates them to the caller.
+    /// Accounts a materialised batch of `rows` rows against the row and
+    /// memory budgets *at materialisation time*: the error fires on the
+    /// batch that crosses a budget, so an operator (or morsel) overshoots
+    /// by at most its own output — and a breach trips the cancel flag,
+    /// bounding a parallel section's overshoot to the morsels already in
+    /// flight (about one per worker). Budget errors are *real* errors
+    /// (not cancel sentinels), so `run_morsels` propagates them.
     fn record(&self, rows: usize, arity: usize) -> Result<()> {
         let total = self.rows.fetch_add(rows, Ordering::Relaxed) + rows;
         if self.max_rows > 0 && total > self.max_rows {
@@ -302,65 +259,23 @@ impl Limits {
     }
 }
 
-/// One operator's open parallel section: the scheduler to run on, the
-/// chosen morsel size, and the shared limits.
+/// One operator's open parallel section: the scheduler to run on and
+/// the chosen morsel size.
 struct ParSection {
     sched: Arc<TaskScheduler>,
     morsel: usize,
-    dop: usize,
-    limits: Limits,
-}
-
-impl ParSection {
-    /// Runs the morsel tasks and collects their output runs in morsel
-    /// order. Cancellation sentinels are dropped in favour of the first
-    /// real error (the one from the morsel that actually breached).
-    fn execute<F>(&self, tasks: Vec<F>) -> Result<Vec<Vec<u32>>>
-    where
-        F: FnOnce() -> Result<Vec<u32>> + Send + 'static,
-    {
-        let results = self.sched.run(self.dop, tasks);
-        let mut runs = Vec::with_capacity(results.len());
-        let mut cancel_err = None;
-        for r in results {
-            match r {
-                Ok(run) => runs.push(run),
-                Err(e) if parallel::is_cancelled(&e) => {
-                    cancel_err.get_or_insert(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if let Some(e) = cancel_err {
-            return Err(e);
-        }
-        Ok(runs)
-    }
 }
 
 /// Evaluates `term` against `store`: lowers it to a physical plan
 /// ([`plan`]) and interprets the plan.
-pub fn execute(
-    term: &RaTerm,
-    store: &crate::storage::RelStore,
-    ctx: &mut ExecContext,
-) -> Result<Relation> {
+pub fn execute(term: &RaTerm, store: &RelStore, ctx: &mut ExecContext) -> Result<Relation> {
     let p = plan(term, store)?;
     execute_plan(&p, store, ctx)
 }
 
 /// Interprets a pre-lowered physical plan.
-pub fn execute_plan(
-    p: &PhysPlan,
-    store: &crate::storage::RelStore,
-    ctx: &mut ExecContext,
-) -> Result<Relation> {
-    Interp {
-        store,
-        ctx,
-        ops: None,
-    }
-    .eval(p, None)
+pub fn execute_plan(p: &PhysPlan, store: &RelStore, ctx: &mut ExecContext) -> Result<Relation> {
+    Interp::new(store, ctx, None).eval(p, None)
 }
 
 /// Per-node execution trace, indexed by [`PhysPlan::id`] — the "actual"
@@ -386,7 +301,7 @@ pub struct ExecTrace {
 /// [`ExecTrace`] of per-operator spans, actual rows and re-plan flags.
 pub fn execute_plan_traced(
     p: &PhysPlan,
-    store: &crate::storage::RelStore,
+    store: &RelStore,
     ctx: &mut ExecContext,
 ) -> Result<(Relation, ExecTrace)> {
     execute_plan_traced_at(p, store, ctx, TraceClock::new())
@@ -396,15 +311,11 @@ pub fn execute_plan_traced(
 /// can stamp operator spans on the same timeline as its phase spans.
 pub fn execute_plan_traced_at(
     p: &PhysPlan,
-    store: &crate::storage::RelStore,
+    store: &RelStore,
     ctx: &mut ExecContext,
     clock: TraceClock,
 ) -> Result<(Relation, ExecTrace)> {
-    let mut interp = Interp {
-        store,
-        ctx,
-        ops: Some(OpTraceBuilder::new(p.node_count(), clock)),
-    };
+    let mut interp = Interp::new(store, ctx, Some(OpTraceBuilder::new(p.node_count(), clock)));
     let rel = interp.eval(p, None)?;
     let (actuals, replanned, spans) = interp.ops.take().expect("tracing was enabled").finish();
     Ok((
@@ -435,21 +346,24 @@ enum Cached {
 type StepCache = FxHashMap<u32, Cached>;
 
 struct Interp<'a> {
-    store: &'a crate::storage::RelStore,
+    store: &'a RelStore,
     ctx: &'a mut ExecContext,
     /// Per-operator span recorder; `None` on the untraced path, where
     /// the only cost left is this `Option` check per operator.
     ops: Option<OpTraceBuilder>,
+    /// The query's limits, built once at entry.
+    limits: Limits,
 }
 
-impl Interp<'_> {
-    /// Whether `node` carries one of `labels` — binary search in the
-    /// store's sorted node-label sets. An empty list (an impossible
-    /// filter intersection) matches nothing.
-    fn in_label_sets(&self, labels: &[sgq_common::NodeLabelId], node: u32) -> bool {
-        labels
-            .iter()
-            .any(|&l| self.store.node_set(l).binary_search(&node).is_ok())
+impl<'a> Interp<'a> {
+    fn new(store: &'a RelStore, ctx: &'a mut ExecContext, ops: Option<OpTraceBuilder>) -> Self {
+        let limits = Limits::of(ctx);
+        Interp {
+            store,
+            ctx,
+            ops,
+            limits,
+        }
     }
 
     /// Evaluates one operator, recording a span (timing + rows) around
@@ -489,7 +403,7 @@ impl Interp<'_> {
     }
 
     fn eval(&mut self, p: &PhysPlan, mut cache: Option<&mut StepCache>) -> Result<Relation> {
-        self.ctx.check()?;
+        self.limits.poll()?;
         // A maximal static subtree inside a fixpoint step is computed in
         // the first round and reused afterwards. (Dynamic hash joins and
         // semi-joins additionally cache their static build sides below.)
@@ -517,23 +431,24 @@ impl Interp<'_> {
     }
 
     fn eval_op(&mut self, p: &PhysPlan, mut cache: Option<&mut StepCache>) -> Result<Relation> {
+        let store = self.store;
         let out = match &p.op {
             PhysOp::EdgeScan { label } => {
                 self.ctx.scans += 1;
-                faultpoint!("exec.scan");
-                self.store.edge_table(*label).into_cols(p.cols.clone())
+                faultpoint!(self.ctx.fault, "exec.scan");
+                store.edge_table(*label).into_cols(p.cols.clone())
             }
             PhysOp::MultiEdgeScan { labels } => {
                 self.ctx.scans += 1;
-                faultpoint!("exec.scan");
+                faultpoint!(self.ctx.fault, "exec.scan");
                 // One masked pass over the polymorphic table; a layout
                 // without it degrades to the union-all the operator
                 // replaced (same rows by construction).
-                let rel = match self.store.multi_edge_table(labels) {
+                let rel = match store.multi_edge_table(labels) {
                     Some(rel) => rel,
-                    None => Relation::union_many(
-                        labels.iter().map(|&l| self.store.edge_table(l)).collect(),
-                    ),
+                    None => {
+                        Relation::union_many(labels.iter().map(|&l| store.edge_table(l)).collect())
+                    }
                 };
                 rel.into_cols(p.cols.clone())
             }
@@ -543,26 +458,23 @@ impl Interp<'_> {
                 tgt_label,
             } => {
                 self.ctx.scans += 1;
-                faultpoint!("exec.scan");
+                faultpoint!(self.ctx.fault, "exec.scan");
                 // The precomputed endpoint-label slice; a layout without
                 // it filters the base table through the sorted node sets
                 // (same rows, just not free).
-                let rel = match self
-                    .store
-                    .filtered_edge_table(*label, *src_label, *tgt_label)
-                {
+                let rel = match store.filtered_edge_table(*label, *src_label, *tgt_label) {
                     Some(rel) => rel,
                     None => crate::layout::filter_edges_by_sets(
-                        &self.store.edge_table(*label),
-                        src_label.map(|l| self.store.node_set(l)),
-                        tgt_label.map(|l| self.store.node_set(l)),
+                        &store.edge_table(*label),
+                        src_label.map(|l| store.node_set(l)),
+                        tgt_label.map(|l| store.node_set(l)),
                     ),
                 };
                 rel.into_cols(p.cols.clone())
             }
             PhysOp::NodeScan { labels } => {
                 self.ctx.scans += 1;
-                faultpoint!("exec.scan");
+                faultpoint!(self.ctx.fault, "exec.scan");
                 if labels.is_empty() {
                     Relation::empty(p.cols.clone())
                 } else {
@@ -570,7 +482,7 @@ impl Interp<'_> {
                     // of k successive pairwise merges.
                     let tables: Vec<Relation> = labels
                         .iter()
-                        .map(|&l| self.store.node_table(l).into_cols(p.cols.clone()))
+                        .map(|&l| store.node_table(l).into_cols(p.cols.clone()))
                         .collect();
                     Relation::union_many(tables)
                 }
@@ -582,36 +494,27 @@ impl Interp<'_> {
                 merge,
             } => {
                 self.ctx.scans += 1;
-                faultpoint!("exec.scan");
-                let edges = self.store.edge_table(*label).into_cols(p.cols.clone());
-                if *merge {
-                    let frel = self.eval(filter, cache.as_deref_mut())?;
-                    let ctx = &mut *self.ctx;
-                    edges.merge_semijoin_checked(&frel, key.len(), &mut || ctx.check())?
-                } else {
+                faultpoint!(self.ctx.fault, "exec.scan");
+                let edges = store.edge_table(*label).into_cols(p.cols.clone());
+                if !*merge {
                     let edge_key_pos = positions(&p.cols, key);
                     let filter_key_pos = positions(&filter.cols, key);
-                    let (data, recorded) = self.hash_semi_filter(
-                        p.id,
+                    return self.hash_semi_filter(
+                        p,
                         &edges,
                         &edge_key_pos,
                         filter,
                         &filter_key_pos,
                         cache,
-                    )?;
-                    let out = Relation::from_flat_sorted(p.cols.clone(), data);
-                    if recorded {
-                        // A parallel scan already recorded per morsel.
-                        return Ok(out);
-                    }
-                    out
+                    );
                 }
+                let frel = self.eval(filter, cache)?;
+                edges.merge_semijoin_checked(&frel, key.len(), &mut || self.limits.poll())?
             }
             PhysOp::MergeJoin { left, right, key } => {
                 let l = self.eval(left, cache.as_deref_mut())?;
                 let r = self.eval(right, cache)?;
-                let ctx = &mut *self.ctx;
-                l.merge_join_checked(&r, key.len(), &mut || ctx.check())?
+                l.merge_join_checked(&r, key.len(), &mut || self.limits.poll())?
             }
             PhysOp::HashJoin {
                 left,
@@ -644,11 +547,10 @@ impl Interp<'_> {
                             }
                             std::collections::hash_map::Entry::Vacant(slot) => {
                                 let rel = self.eval(build_plan, None)?;
-                                faultpoint!("exec.hash_build");
-                                let ctx = &mut *self.ctx;
+                                faultpoint!(self.ctx.fault, "exec.hash_build");
                                 let index =
                                     Arc::new(JoinIndex::build(&rel, &build_key_pos, &mut || {
-                                        ctx.check()
+                                        self.limits.poll()
                                     })?);
                                 self.ctx.hash_builds += 1;
                                 slot.insert(Cached::Build { rel, index });
@@ -659,7 +561,6 @@ impl Interp<'_> {
                         };
                         return self.probe_join(
                             p,
-                            left,
                             rel,
                             index,
                             &probe_rel,
@@ -687,15 +588,13 @@ impl Interp<'_> {
                 } else {
                     (rel, build_key_pos, probe_rel, probe_key_pos, *build_left)
                 };
-                faultpoint!("exec.hash_build");
-                let ctx = &mut *self.ctx;
+                faultpoint!(self.ctx.fault, "exec.hash_build");
                 let index = Arc::new(JoinIndex::build(&build_rel, &build_pos, &mut || {
-                    ctx.check()
+                    self.limits.poll()
                 })?);
                 self.ctx.hash_builds += 1;
                 return self.probe_join(
                     p,
-                    left,
                     &build_rel,
                     &index,
                     &probe_rel,
@@ -714,11 +613,9 @@ impl Interp<'_> {
                 tgt_labels,
             } => {
                 let prel = self.eval(probe, cache)?;
-                faultpoint!("exec.csr_probe");
-                let csr = if *forward {
-                    self.store.forward_csr(*label)
-                } else {
-                    self.store.reverse_csr(*label)
+                faultpoint!(self.ctx.fault, "exec.csr_probe");
+                let Some(csr) = csr(store, *label, *forward) else {
+                    return Ok(Relation::empty(p.cols.clone()));
                 };
                 let key_pos = prel
                     .col_index(*key)
@@ -747,125 +644,41 @@ impl Interp<'_> {
                 } else {
                     (tgt_labels.as_deref(), src_labels.as_deref())
                 };
-                if csr.is_some() {
-                    if let Some(section) = self.ctx.parallel_section(prel.len()) {
-                        let csr = if *forward {
-                            self.store.forward_csr_shared(*label)
-                        } else {
-                            self.store.reverse_csr_shared(*label)
-                        }
-                        .expect("csr checked in range");
-                        // Label filters travel as shared node-table
-                        // handles (their flat data is the sorted id set).
-                        let key_sets = self.label_set_tables(key_filter);
-                        let emit_sets = self.label_set_tables(emit_filter);
-                        let arity = p.cols.len();
-                        let tasks: Vec<_> = parallel::morsel_ranges(prel.len(), section.morsel)
-                            .into_iter()
-                            .map(|(start, end)| {
-                                let probe = prel.clone();
-                                let csr = Arc::clone(&csr);
-                                let key_sets = key_sets.clone();
-                                let emit_sets = emit_sets.clone();
-                                let layout = layout.clone();
-                                let limits = section.limits.clone();
-                                move || -> Result<Vec<u32>> {
-                                    // Poll up front: a morsel queued behind a
-                                    // cancellation exits before doing any work,
-                                    // bounding budget overshoot to the morsels
-                                    // already in flight.
-                                    limits.poll()?;
-                                    let mut data: Vec<u32> = Vec::new();
-                                    let mut steps = 0usize;
-                                    for prow in probe.rows_range(start, end) {
-                                        steps += 1;
-                                        if steps & POLL_MASK == 0 {
-                                            limits.poll()?;
-                                        }
-                                        let v = prow[key_pos];
-                                        if let Some(sets) = &key_sets {
-                                            if !tables_contain(sets, v) {
-                                                continue;
-                                            }
-                                        }
-                                        for &n in csr.neighbors(NodeId::new(v)) {
-                                            steps += 1;
-                                            if steps & POLL_MASK == 0 {
-                                                limits.poll()?;
-                                            }
-                                            let nv = n.raw();
-                                            if let Some(sets) = &emit_sets {
-                                                if !tables_contain(sets, nv) {
-                                                    continue;
-                                                }
-                                            }
-                                            for slot in &layout {
-                                                data.push(match slot {
-                                                    Some(i) => prow[*i],
-                                                    None => nv,
-                                                });
-                                            }
-                                        }
-                                    }
-                                    if !probe_leading {
-                                        normalize_flat(arity, &mut data);
-                                    }
-                                    limits.record(data.len() / arity, arity)?;
-                                    Ok(data)
-                                }
-                            })
-                            .collect();
-                        let runs = section.execute(tasks)?;
-                        self.ctx.morsels_executed += runs.len();
-                        // Probe-leading morsels emit disjoint ascending
-                        // runs, so concatenation is already canonical;
-                        // otherwise merge-dedup the per-morsel sorted runs.
-                        return Ok(if probe_leading {
-                            Relation::from_flat_sorted(p.cols.clone(), runs.concat())
-                        } else {
-                            Relation::merge_sorted_runs(p.cols.clone(), runs)
-                        });
+                let rows = prel.len();
+                return match self.parallel_section(rows) {
+                    None => Ok(Relation::from_flat_sorted(
+                        p.cols.clone(),
+                        index_join_kernel(
+                            &prel,
+                            csr,
+                            key_pos,
+                            key_filter.map(|ls| (store, ls)).as_ref(),
+                            emit_filter.map(|ls| (store, ls)).as_ref(),
+                            &layout,
+                            probe_leading,
+                            (0, rows),
+                            &self.limits,
+                        )?,
+                    )),
+                    Some(section) => {
+                        let csr = csr_shared(store, *label, *forward).expect("csr in range");
+                        let key_sets = label_set_tables(store, key_filter);
+                        let emit_sets = label_set_tables(store, emit_filter);
+                        self.run_morsels(section, rows, p, probe_leading, move |range, limits| {
+                            index_join_kernel(
+                                &prel,
+                                &csr,
+                                key_pos,
+                                key_sets.as_ref(),
+                                emit_sets.as_ref(),
+                                &layout,
+                                probe_leading,
+                                range,
+                                limits,
+                            )
+                        })
                     }
-                }
-                let mut data: Vec<u32> = Vec::new();
-                let mut steps = 0usize;
-                if let Some(csr) = csr {
-                    for prow in prel.rows() {
-                        steps += 1;
-                        if steps & POLL_MASK == 0 {
-                            self.ctx.check()?;
-                        }
-                        let v = prow[key_pos];
-                        if let Some(ls) = key_filter {
-                            if !self.in_label_sets(ls, v) {
-                                continue;
-                            }
-                        }
-                        for &n in csr.neighbors(NodeId::new(v)) {
-                            steps += 1;
-                            if steps & POLL_MASK == 0 {
-                                self.ctx.check()?;
-                            }
-                            let nv = n.raw();
-                            if let Some(ls) = emit_filter {
-                                if !self.in_label_sets(ls, nv) {
-                                    continue;
-                                }
-                            }
-                            for slot in &layout {
-                                data.push(match slot {
-                                    Some(i) => prow[*i],
-                                    None => nv,
-                                });
-                            }
-                        }
-                    }
-                }
-                if probe_leading {
-                    Relation::from_flat_sorted(p.cols.clone(), data)
-                } else {
-                    Relation::from_flat(p.cols.clone(), data)
-                }
+                };
             }
             PhysOp::IndexSemiJoin {
                 left,
@@ -876,11 +689,9 @@ impl Interp<'_> {
                 tgt_labels,
             } => {
                 let lrel = self.eval(left, cache)?;
-                faultpoint!("exec.csr_probe");
-                let csr = if *forward {
-                    self.store.forward_csr(*label)
-                } else {
-                    self.store.reverse_csr(*label)
+                faultpoint!(self.ctx.fault, "exec.csr_probe");
+                let Some(csr) = csr(store, *label, *forward) else {
+                    return Ok(Relation::empty(p.cols.clone()));
                 };
                 let key_pos = lrel
                     .col_index(*key)
@@ -890,105 +701,48 @@ impl Interp<'_> {
                 } else {
                     (tgt_labels.as_deref(), src_labels.as_deref())
                 };
-                if csr.is_some() {
-                    if let Some(section) = self.ctx.parallel_section(lrel.len()) {
-                        let csr = if *forward {
-                            self.store.forward_csr_shared(*label)
-                        } else {
-                            self.store.reverse_csr_shared(*label)
-                        }
-                        .expect("csr checked in range");
-                        let key_sets = self.label_set_tables(key_filter);
-                        let far_sets = self.label_set_tables(far_filter);
-                        let arity = p.cols.len();
-                        let tasks: Vec<_> = parallel::morsel_ranges(lrel.len(), section.morsel)
-                            .into_iter()
-                            .map(|(start, end)| {
-                                let left = lrel.clone();
-                                let csr = Arc::clone(&csr);
-                                let key_sets = key_sets.clone();
-                                let far_sets = far_sets.clone();
-                                let limits = section.limits.clone();
-                                move || -> Result<Vec<u32>> {
-                                    limits.poll()?;
-                                    let mut data: Vec<u32> = Vec::new();
-                                    for (i, row) in left.rows_range(start, end).enumerate() {
-                                        if i & POLL_MASK == 0 {
-                                            limits.poll()?;
-                                        }
-                                        let v = row[key_pos];
-                                        if let Some(sets) = &key_sets {
-                                            if !tables_contain(sets, v) {
-                                                continue;
-                                            }
-                                        }
-                                        let neigh = csr.neighbors(NodeId::new(v));
-                                        let hit = match &far_sets {
-                                            None => !neigh.is_empty(),
-                                            Some(sets) => {
-                                                neigh.iter().any(|&n| tables_contain(sets, n.raw()))
-                                            }
-                                        };
-                                        if hit {
-                                            data.extend_from_slice(row);
-                                        }
-                                    }
-                                    limits.record(data.len() / arity, arity)?;
-                                    Ok(data)
-                                }
-                            })
-                            .collect();
-                        let runs = section.execute(tasks)?;
-                        self.ctx.morsels_executed += runs.len();
-                        // Filtering preserves canonical order; morsels
-                        // cover disjoint ascending ranges, so the runs
-                        // concatenate straight into canonical form.
-                        return Ok(Relation::from_flat_sorted(p.cols.clone(), runs.concat()));
+                let rows = lrel.len();
+                return match self.parallel_section(rows) {
+                    None => Ok(Relation::from_flat_sorted(
+                        p.cols.clone(),
+                        index_semi_kernel(
+                            &lrel,
+                            csr,
+                            key_pos,
+                            key_filter.map(|ls| (store, ls)).as_ref(),
+                            far_filter.map(|ls| (store, ls)).as_ref(),
+                            (0, rows),
+                            &self.limits,
+                        )?,
+                    )),
+                    Some(section) => {
+                        let csr = csr_shared(store, *label, *forward).expect("csr in range");
+                        let key_sets = label_set_tables(store, key_filter);
+                        let far_sets = label_set_tables(store, far_filter);
+                        self.run_morsels(section, rows, p, true, move |range, limits| {
+                            index_semi_kernel(
+                                &lrel,
+                                &csr,
+                                key_pos,
+                                key_sets.as_ref(),
+                                far_sets.as_ref(),
+                                range,
+                                limits,
+                            )
+                        })
                     }
-                }
-                let mut data: Vec<u32> = Vec::new();
-                if let Some(csr) = csr {
-                    for (i, row) in lrel.rows().enumerate() {
-                        if i & POLL_MASK == 0 {
-                            self.ctx.check()?;
-                        }
-                        let v = row[key_pos];
-                        if let Some(ls) = key_filter {
-                            if !self.in_label_sets(ls, v) {
-                                continue;
-                            }
-                        }
-                        let neigh = csr.neighbors(NodeId::new(v));
-                        let hit = match far_filter {
-                            None => !neigh.is_empty(),
-                            Some(ls) => neigh.iter().any(|&n| self.in_label_sets(ls, n.raw())),
-                        };
-                        if hit {
-                            data.extend_from_slice(row);
-                        }
-                    }
-                }
-                // Filtering preserves canonical order.
-                Relation::from_flat_sorted(p.cols.clone(), data)
+                };
             }
             PhysOp::MergeSemiJoin { left, right, key } => {
                 let l = self.eval(left, cache.as_deref_mut())?;
                 let r = self.eval(right, cache)?;
-                let ctx = &mut *self.ctx;
-                l.merge_semijoin_checked(&r, key.len(), &mut || ctx.check())?
+                l.merge_semijoin_checked(&r, key.len(), &mut || self.limits.poll())?
             }
             PhysOp::HashSemiJoin { left, right, key } => {
                 let l = self.eval(left, cache.as_deref_mut())?;
                 let left_key_pos = positions(&left.cols, key);
                 let filter_key_pos = positions(&right.cols, key);
-                let (data, recorded) =
-                    self.hash_semi_filter(p.id, &l, &left_key_pos, right, &filter_key_pos, cache)?;
-                let out = Relation::from_flat_sorted(p.cols.clone(), data);
-                if recorded {
-                    // A parallel filter already recorded per morsel.
-                    return Ok(out);
-                }
-                out
+                return self.hash_semi_filter(p, &l, &left_key_pos, right, &filter_key_pos, cache);
             }
             PhysOp::Union { left, right } => {
                 let l = self.eval(left, cache.as_deref_mut())?;
@@ -1013,8 +767,8 @@ impl Interp<'_> {
                 let mut delta = base_rel;
                 let mut step_cache = StepCache::default();
                 while !delta.is_empty() {
-                    self.ctx.check()?;
-                    faultpoint!("exec.fixpoint_round");
+                    self.limits.poll()?;
+                    faultpoint!(self.ctx.fault, "exec.fixpoint_round");
                     self.ctx.fixpoint_rounds += 1;
                     self.ctx.env.insert(*var, delta);
                     let round_cache = if self.ctx.no_fixpoint_cache {
@@ -1032,7 +786,7 @@ impl Interp<'_> {
                         stepped.into_cols(cols.clone())
                     };
                     let fresh = stepped.difference(&acc);
-                    self.ctx.record(&fresh)?;
+                    self.limits.record(fresh.len(), fresh.arity())?;
                     acc = acc.union(&fresh);
                     delta = fresh;
                 }
@@ -1047,29 +801,82 @@ impl Interp<'_> {
                 rel.with_cols(p.cols.clone())
             }
         };
-        self.ctx.record(&out)?;
+        self.limits.record(out.len(), out.arity())?;
         Ok(out)
     }
 
-    /// Shared node-table handles for a label filter (their flat data is
-    /// the sorted id set), so morsel tasks can own the membership sets.
-    fn label_set_tables(
-        &self,
-        labels: Option<&[sgq_common::NodeLabelId]>,
-    ) -> Option<Vec<Relation>> {
-        labels.map(|ls| ls.iter().map(|&l| self.store.node_table(l)).collect())
+    /// Opens a parallel section over a `probe_rows`-row probe side, or
+    /// `None` when the operator's kernel should run inline: `dop` is 1,
+    /// the probe is under the cost threshold, or it fits a single
+    /// morsel. The serial path never touches the scheduler at all.
+    fn parallel_section(&mut self, probe_rows: usize) -> Option<ParSection> {
+        let ctx = &mut *self.ctx;
+        if ctx.dop <= 1 || probe_rows < ctx.parallel_threshold {
+            return None;
+        }
+        let morsel = parallel::morsel_size(probe_rows, ctx.dop, ctx.morsel_rows);
+        if morsel >= probe_rows {
+            return None;
+        }
+        let sched = Arc::clone(ctx.scheduler.get_or_insert_with(parallel::global));
+        Some(ParSection { sched, morsel })
+    }
+
+    /// Runs `kernel` as one task per morsel of the `rows`-row probe and
+    /// merges the runs into `p`'s canonical relation: `ordered` kernels
+    /// emit disjoint ascending runs in morsel order, which concatenate;
+    /// the others sort their own runs, which merge-dedup. Cancellation
+    /// sentinels are dropped in favour of the first real error (the one
+    /// from the morsel that actually breached).
+    fn run_morsels<K>(
+        &mut self,
+        section: ParSection,
+        rows: usize,
+        p: &PhysPlan,
+        ordered: bool,
+        kernel: K,
+    ) -> Result<Relation>
+    where
+        K: Fn((usize, usize), &Limits) -> Result<Vec<u32>> + Send + Sync + 'static,
+    {
+        let kernel = Arc::new(kernel);
+        let tasks: Vec<_> = parallel::morsel_ranges(rows, section.morsel)
+            .into_iter()
+            .map(|range| {
+                let kernel = Arc::clone(&kernel);
+                let limits = self.limits.clone();
+                move || kernel(range, &limits)
+            })
+            .collect();
+        let mut runs = Vec::with_capacity(tasks.len());
+        let mut cancel_err = None;
+        for r in section.sched.run(self.ctx.dop, tasks) {
+            match r {
+                Ok(run) => runs.push(run),
+                Err(e) if parallel::is_cancelled(&e) => {
+                    cancel_err.get_or_insert(e);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        if let Some(e) = cancel_err {
+            return Err(e);
+        }
+        self.ctx.morsels_executed += runs.len();
+        Ok(if ordered {
+            Relation::from_flat_sorted(p.cols.clone(), runs.concat())
+        } else {
+            Relation::merge_sorted_runs(p.cols.clone(), runs)
+        })
     }
 
     /// Probes a (possibly cached) hash-join build side with the probe
-    /// relation, emitting in left-then-right-extras schema order. Above
-    /// the parallel threshold the probe is split into morsels; each
-    /// worker sorts its own output and the runs merge-dedup back to
-    /// exactly the canonical relation the serial path produces.
+    /// relation through [`probe_kernel`], emitting in
+    /// left-then-right-extras schema order.
     #[allow(clippy::too_many_arguments)]
     fn probe_join(
         &mut self,
         p: &PhysPlan,
-        left: &PhysPlan,
         build_rel: &Relation,
         index: &Arc<JoinIndex>,
         probe_rel: &Relation,
@@ -1077,175 +884,287 @@ impl Interp<'_> {
         probe_key_pos: &[usize],
         right_extra_pos: &[usize],
     ) -> Result<Relation> {
-        let left_arity = left.cols.len();
-        if let Some(section) = self.ctx.parallel_section(probe_rel.len()) {
-            let arity = p.cols.len();
-            let tasks: Vec<_> = parallel::morsel_ranges(probe_rel.len(), section.morsel)
-                .into_iter()
-                .map(|(start, end)| {
-                    let probe = probe_rel.clone();
-                    let build = build_rel.clone();
-                    let index = Arc::clone(index);
-                    let key_pos = probe_key_pos.to_vec();
-                    let extras = right_extra_pos.to_vec();
-                    let limits = section.limits.clone();
-                    move || -> Result<Vec<u32>> {
-                        limits.poll()?;
-                        let mut data: Vec<u32> = Vec::new();
-                        for (i, prow) in probe.rows_range(start, end).enumerate() {
-                            if i & POLL_MASK == 0 {
-                                limits.poll()?;
-                            }
-                            for &bi in index.probe(prow, &key_pos) {
-                                let brow = build.row(bi as usize);
-                                let (lrow, rrow) = if build_left {
-                                    (brow, prow)
-                                } else {
-                                    (prow, brow)
-                                };
-                                data.extend_from_slice(lrow);
-                                for &ri in &extras {
-                                    data.push(rrow[ri]);
-                                }
-                            }
-                        }
-                        normalize_flat(arity, &mut data);
-                        limits.record(data.len() / arity, arity)?;
-                        Ok(data)
-                    }
-                })
-                .collect();
-            let runs = section.execute(tasks)?;
-            self.ctx.morsels_executed += runs.len();
-            return Ok(Relation::merge_sorted_runs(p.cols.clone(), runs));
-        }
-        let mut data: Vec<u32> = Vec::new();
-        for (i, prow) in probe_rel.rows().enumerate() {
-            if i & POLL_MASK == 0 {
-                self.ctx.check()?;
-            }
-            for &bi in index.probe(prow, probe_key_pos) {
-                let brow = build_rel.row(bi as usize);
-                let (lrow, rrow) = if build_left {
-                    (brow, prow)
-                } else {
-                    (prow, brow)
-                };
-                debug_assert_eq!(lrow.len(), left_arity);
-                data.extend_from_slice(lrow);
-                for &ri in right_extra_pos {
-                    data.push(rrow[ri]);
-                }
-            }
-        }
-        let out = Relation::from_flat(p.cols.clone(), data);
-        self.ctx.record(&out)?;
-        Ok(out)
+        let rows = probe_rel.len();
+        let Some(section) = self.parallel_section(rows) else {
+            return Ok(Relation::from_flat_sorted(
+                p.cols.clone(),
+                probe_kernel(
+                    probe_rel,
+                    build_rel,
+                    index,
+                    build_left,
+                    probe_key_pos,
+                    right_extra_pos,
+                    (0, rows),
+                    &self.limits,
+                )?,
+            ));
+        };
+        let (probe, build, index) = (probe_rel.clone(), build_rel.clone(), Arc::clone(index));
+        let (key_pos, extras) = (probe_key_pos.to_vec(), right_extra_pos.to_vec());
+        self.run_morsels(section, rows, p, false, move |range, limits| {
+            probe_kernel(
+                &probe, &build, &index, build_left, &key_pos, &extras, range, limits,
+            )
+        })
     }
 
     /// Filters `left_rel` by a (possibly cached) key set collected from
-    /// `filter_plan`, returning the surviving rows' flat data (canonical:
-    /// filtering preserves order) and whether the rows were already
-    /// recorded (a parallel scan records per morsel; the serial path
-    /// leaves recording to the caller's operator epilogue).
+    /// `filter_plan` through [`semi_filter_kernel`]; the result is `p`'s
+    /// relation (filtering preserves canonical order).
     fn hash_semi_filter(
         &mut self,
-        node_id: u32,
+        p: &PhysPlan,
         left_rel: &Relation,
         left_key_pos: &[usize],
         filter_plan: &PhysPlan,
         filter_key_pos: &[usize],
         mut cache: Option<&mut StepCache>,
-    ) -> Result<(Vec<u32>, bool)> {
-        if filter_plan.is_static() {
-            if let Some(c) = cache.as_deref_mut() {
-                match c.entry(node_id) {
+    ) -> Result<Relation> {
+        let keys = match cache.as_deref_mut() {
+            Some(c) if filter_plan.is_static() => {
+                match c.entry(p.id) {
                     std::collections::hash_map::Entry::Occupied(_) => {
                         self.ctx.cache_hits += 1;
                     }
                     std::collections::hash_map::Entry::Vacant(slot) => {
-                        let frel = self.eval(filter_plan, None)?;
-                        faultpoint!("exec.hash_build");
-                        let ctx = &mut *self.ctx;
-                        let keys =
-                            Arc::new(SemiKeys::build(&frel, filter_key_pos, &mut || ctx.check())?);
-                        self.ctx.hash_builds += 1;
+                        let keys = self.build_keys(filter_plan, filter_key_pos, None)?;
                         slot.insert(Cached::Keys(keys));
                     }
                 }
-                let Some(Cached::Keys(keys)) = c.get(&node_id) else {
+                let Some(Cached::Keys(keys)) = c.get(&p.id) else {
                     unreachable!("just inserted")
                 };
-                let keys = Arc::clone(keys);
-                return filter_by_keys(left_rel, left_key_pos, &keys, self.ctx);
+                Arc::clone(keys)
+            }
+            _ => self.build_keys(filter_plan, filter_key_pos, cache)?,
+        };
+        let rows = left_rel.len();
+        let Some(section) = self.parallel_section(rows) else {
+            return Ok(Relation::from_flat_sorted(
+                p.cols.clone(),
+                semi_filter_kernel(left_rel, &keys, left_key_pos, (0, rows), &self.limits)?,
+            ));
+        };
+        let (left, key_pos) = (left_rel.clone(), left_key_pos.to_vec());
+        self.run_morsels(section, rows, p, true, move |range, limits| {
+            semi_filter_kernel(&left, &keys, &key_pos, range, limits)
+        })
+    }
+
+    /// Evaluates a semi-join's filter side and builds its key set.
+    fn build_keys(
+        &mut self,
+        filter_plan: &PhysPlan,
+        key_pos: &[usize],
+        cache: Option<&mut StepCache>,
+    ) -> Result<Arc<SemiKeys>> {
+        let frel = self.eval(filter_plan, cache)?;
+        faultpoint!(self.ctx.fault, "exec.hash_build");
+        let keys = SemiKeys::build(&frel, key_pos, &mut || self.limits.poll())?;
+        self.ctx.hash_builds += 1;
+        Ok(Arc::new(keys))
+    }
+}
+
+/// A node-label endpoint filter's sorted id sets: looked up in the store
+/// on the serial path, owned node-table handles inside morsel tasks.
+trait NodeSets {
+    /// The sorted node-id set of each of the filter's labels.
+    fn sets(&self) -> impl Iterator<Item = &[u32]>;
+
+    /// Whether `v` carries one of the filter's labels — a binary search
+    /// per label set. An empty label list (an impossible filter
+    /// intersection) admits nothing.
+    fn admits(&self, v: u32) -> bool {
+        self.sets().any(|s| s.binary_search(&v).is_ok())
+    }
+}
+
+impl NodeSets for (&RelStore, &[NodeLabelId]) {
+    fn sets(&self) -> impl Iterator<Item = &[u32]> {
+        self.1.iter().map(|&l| self.0.node_set(l))
+    }
+}
+
+impl NodeSets for Vec<Relation> {
+    fn sets(&self) -> impl Iterator<Item = &[u32]> {
+        self.iter().map(Relation::flat)
+    }
+}
+
+/// The CSR an index (semi-)join expands through: targets per source
+/// (`forward`) or sources per target.
+fn csr(store: &RelStore, label: EdgeLabelId, forward: bool) -> Option<&Csr> {
+    if forward {
+        store.forward_csr(label)
+    } else {
+        store.reverse_csr(label)
+    }
+}
+
+/// [`csr`] as a shared handle a morsel task can own.
+fn csr_shared(store: &RelStore, label: EdgeLabelId, forward: bool) -> Option<Arc<Csr>> {
+    if forward {
+        store.forward_csr_shared(label)
+    } else {
+        store.reverse_csr_shared(label)
+    }
+}
+
+/// Shared node-table handles for a label filter (their flat data is the
+/// sorted id set), so morsel tasks can own the membership sets.
+fn label_set_tables(store: &RelStore, labels: Option<&[NodeLabelId]>) -> Option<Vec<Relation>> {
+    labels.map(|ls| ls.iter().map(|&l| store.node_table(l)).collect())
+}
+
+/// The index-join kernel over probe rows `[start, end)`: expands each
+/// probe row's key through the CSR, keeps the endpoints the label
+/// filters admit, and emits one row per neighbour in the output
+/// `layout` (a probe position, or `None` for the neighbour). Probe rows
+/// ascend and neighbour lists are sorted, so a probe-leading layout
+/// already emits canonically; any other layout sorts its run.
+#[allow(clippy::too_many_arguments)]
+fn index_join_kernel<S: NodeSets>(
+    probe: &Relation,
+    csr: &Csr,
+    key_pos: usize,
+    key_sets: Option<&S>,
+    emit_sets: Option<&S>,
+    layout: &[Option<usize>],
+    probe_leading: bool,
+    (start, end): (usize, usize),
+    limits: &Limits,
+) -> Result<Vec<u32>> {
+    let arity = layout.len();
+    let mut data: Vec<u32> = Vec::new();
+    let mut steps = 0usize;
+    for prow in probe.rows_range(start, end) {
+        if steps & POLL_MASK == 0 {
+            limits.poll()?;
+        }
+        steps += 1;
+        let v = prow[key_pos];
+        if key_sets.is_some_and(|s| !s.admits(v)) {
+            continue;
+        }
+        for &n in csr.neighbors(NodeId::new(v)) {
+            if steps & POLL_MASK == 0 {
+                limits.poll()?;
+            }
+            steps += 1;
+            let nv = n.raw();
+            if emit_sets.is_some_and(|s| !s.admits(nv)) {
+                continue;
+            }
+            for slot in layout {
+                data.push(match slot {
+                    Some(i) => prow[*i],
+                    None => nv,
+                });
             }
         }
-        let frel = self.eval(filter_plan, cache)?;
-        faultpoint!("exec.hash_build");
-        let ctx = &mut *self.ctx;
-        let keys = Arc::new(SemiKeys::build(&frel, filter_key_pos, &mut || ctx.check())?);
-        self.ctx.hash_builds += 1;
-        filter_by_keys(left_rel, left_key_pos, &keys, self.ctx)
     }
+    if !probe_leading {
+        normalize_flat(arity, &mut data);
+    }
+    limits.record(data.len() / arity, arity)?;
+    Ok(data)
 }
 
-/// Whether `v` is in any of the node tables' sorted id sets — the
-/// owned-handle counterpart of `Interp::in_label_sets` used by morsel
-/// workers (an empty list matches nothing, like the serial path).
-fn tables_contain(sets: &[Relation], v: u32) -> bool {
-    sets.iter().any(|s| s.flat().binary_search(&v).is_ok())
-}
-
-/// Filters `left` by the shared key set, splitting into morsels above
-/// the parallel threshold. Returns the surviving flat rows and whether
-/// they were already recorded against the row budget (true on the
-/// parallel path, which records per morsel).
-fn filter_by_keys(
+/// The index-semi-join kernel over rows `[start, end)` of `left`: keeps
+/// rows whose key passes the key-side label filter and has a CSR
+/// neighbour the far-side filter admits (without one, any neighbour).
+/// Filtering preserves canonical order.
+fn index_semi_kernel<S: NodeSets>(
     left: &Relation,
-    key_pos: &[usize],
-    keys: &Arc<SemiKeys>,
-    ctx: &mut ExecContext,
-) -> Result<(Vec<u32>, bool)> {
-    if let Some(section) = ctx.parallel_section(left.len()) {
-        let arity = left.arity();
-        let tasks: Vec<_> = parallel::morsel_ranges(left.len(), section.morsel)
-            .into_iter()
-            .map(|(start, end)| {
-                let left = left.clone();
-                let keys = Arc::clone(keys);
-                let key_pos = key_pos.to_vec();
-                let limits = section.limits.clone();
-                move || -> Result<Vec<u32>> {
-                    limits.poll()?;
-                    let mut data: Vec<u32> = Vec::new();
-                    for (i, row) in left.rows_range(start, end).enumerate() {
-                        if i & POLL_MASK == 0 {
-                            limits.poll()?;
-                        }
-                        if keys.contains(row, &key_pos) {
-                            data.extend_from_slice(row);
-                        }
-                    }
-                    limits.record(data.len() / arity, arity)?;
-                    Ok(data)
-                }
-            })
-            .collect();
-        let runs = section.execute(tasks)?;
-        ctx.morsels_executed += runs.len();
-        // Disjoint ascending ranges filtered in order: plain concat.
-        return Ok((runs.concat(), true));
-    }
-    let mut data = Vec::new();
-    for (i, row) in left.rows().enumerate() {
+    csr: &Csr,
+    key_pos: usize,
+    key_sets: Option<&S>,
+    far_sets: Option<&S>,
+    (start, end): (usize, usize),
+    limits: &Limits,
+) -> Result<Vec<u32>> {
+    let mut data: Vec<u32> = Vec::new();
+    for (i, row) in left.rows_range(start, end).enumerate() {
         if i & POLL_MASK == 0 {
-            ctx.check()?;
+            limits.poll()?;
+        }
+        let v = row[key_pos];
+        if key_sets.is_some_and(|s| !s.admits(v)) {
+            continue;
+        }
+        let neigh = csr.neighbors(NodeId::new(v));
+        let hit = match far_sets {
+            None => !neigh.is_empty(),
+            Some(s) => neigh.iter().any(|&n| s.admits(n.raw())),
+        };
+        if hit {
+            data.extend_from_slice(row);
+        }
+    }
+    limits.record(data.len() / left.arity(), left.arity())?;
+    Ok(data)
+}
+
+/// The hash-join probe kernel over probe rows `[start, end)`: emits each
+/// match in left-then-right-extras schema order and sorts its run.
+#[allow(clippy::too_many_arguments)]
+fn probe_kernel(
+    probe: &Relation,
+    build: &Relation,
+    index: &JoinIndex,
+    build_left: bool,
+    key_pos: &[usize],
+    right_extra_pos: &[usize],
+    (start, end): (usize, usize),
+    limits: &Limits,
+) -> Result<Vec<u32>> {
+    let mut data: Vec<u32> = Vec::new();
+    for (i, prow) in probe.rows_range(start, end).enumerate() {
+        if i & POLL_MASK == 0 {
+            limits.poll()?;
+        }
+        for &bi in index.probe(prow, key_pos) {
+            let brow = build.row(bi as usize);
+            let (lrow, rrow) = if build_left {
+                (brow, prow)
+            } else {
+                (prow, brow)
+            };
+            data.extend_from_slice(lrow);
+            for &ri in right_extra_pos {
+                data.push(rrow[ri]);
+            }
+        }
+    }
+    let arity = if build_left { build } else { probe }.arity() + right_extra_pos.len();
+    normalize_flat(arity, &mut data);
+    limits.record(data.len() / arity, arity)?;
+    Ok(data)
+}
+
+/// The hash semi-join kernel over rows `[start, end)` of `left`: keeps
+/// the rows whose key is in `keys`, in order (so the run stays
+/// canonical).
+fn semi_filter_kernel(
+    left: &Relation,
+    keys: &SemiKeys,
+    key_pos: &[usize],
+    (start, end): (usize, usize),
+    limits: &Limits,
+) -> Result<Vec<u32>> {
+    let mut data: Vec<u32> = Vec::new();
+    for (i, row) in left.rows_range(start, end).enumerate() {
+        if i & POLL_MASK == 0 {
+            limits.poll()?;
         }
         if keys.contains(row, key_pos) {
             data.extend_from_slice(row);
         }
     }
-    Ok((data, false))
+    limits.record(data.len() / left.arity(), left.arity())?;
+    Ok(data)
 }
 
 /// Positions of `key` columns within `cols`.

@@ -240,7 +240,9 @@ impl Relation {
     }
 
     /// Builds a canonical relation from flattened row data (row-major,
-    /// `data.len()` a multiple of `cols.len()`).
+    /// `data.len()` a multiple of `cols.len()`): the reference the
+    /// merge tests normalise against.
+    #[cfg(test)]
     pub(crate) fn from_flat(cols: Vec<ColId>, mut data: Vec<u32>) -> Relation {
         normalize_flat(cols.len(), &mut data);
         Relation::new(cols, data)

@@ -13,12 +13,15 @@
 //! aggregates QPS, latency percentiles and the cache hit rate.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use sgq_algebra::ast::PathExpr;
 use sgq_algebra::parser::parse_path;
-use sgq_common::{faultpoint, relation_bytes, ResourceGovernor, Result, SgqError};
+use sgq_common::{
+    faultpoint, relation_bytes, FaultConfig, FaultPlan, FireReport, ResourceGovernor, Result,
+    SgqError,
+};
 use sgq_core::pipeline::RewriteOptions;
 use sgq_engine::GraphEngine;
 use sgq_graph::{GraphDatabase, GraphSchema};
@@ -250,6 +253,10 @@ struct Core {
     /// Memory governor every relational query charges its materialised
     /// state into (per-query + global ceilings, pressure signal).
     governor: Arc<ResourceGovernor>,
+    /// The fault-injection plan armed on this service (`None` in
+    /// production): each query takes it at dispatch and carries it to
+    /// every fault point it passes.
+    fault: Mutex<Option<Arc<FaultPlan>>>,
 }
 
 impl Core {
@@ -258,6 +265,12 @@ impl Core {
             self.exec_scheduler
                 .get_or_init(|| Arc::new(TaskScheduler::new(self.config.max_dop.max(1)))),
         )
+    }
+
+    /// The slot holding the armed fault plan. Every update replaces the
+    /// whole `Option`, so a poisoned lock still holds a valid value.
+    fn fault_slot(&self) -> std::sync::MutexGuard<'_, Option<Arc<FaultPlan>>> {
+        self.fault.lock().unwrap_or_else(|p| p.into_inner())
     }
 }
 
@@ -324,6 +337,7 @@ impl Service {
             slow_log,
             exec_scheduler: OnceLock::new(),
             governor,
+            fault: Mutex::new(None),
         });
         Service { core, pool }
     }
@@ -417,6 +431,24 @@ impl Service {
     /// layer).
     pub fn pool_panic_count(&self) -> u64 {
         self.pool.panic_count()
+    }
+
+    /// Arms a seeded fault-injection plan on this service: queries
+    /// dispatched from now on fire faults at its `faultpoint!` sites.
+    /// Replaces any plan already armed (its report is discarded).
+    pub fn arm_faults(&self, config: FaultConfig) {
+        *self.core.fault_slot() = Some(Arc::new(FaultPlan::new(config)));
+    }
+
+    /// Disarms the fault plan and returns how many times each site fired
+    /// (empty if nothing was armed). Queries dispatched before the call
+    /// finish under the plan they took.
+    pub fn disarm_faults(&self) -> FireReport {
+        self.core
+            .fault_slot()
+            .take()
+            .map(|plan| plan.fired())
+            .unwrap_or_default()
     }
 
     /// Graceful shutdown: drains queued queries, joins the workers.
@@ -532,7 +564,8 @@ impl Session {
         opts: &QueryOptions,
     ) -> Result<(Arc<PreparedQuery>, CacheOutcome)> {
         let expr = parse_path(text, self.core.schema.as_ref())?;
-        prepare_via_cache(&self.core, &expr, opts)
+        let fault = self.core.fault_slot().clone();
+        prepare_via_cache(&self.core, &fault, &expr, opts)
     }
 
     /// Current metrics snapshot (shared with [`Service::metrics`]).
@@ -563,10 +596,11 @@ impl Session {
 /// estimates from the memo, so it reflects the measured cardinalities.
 fn prepare_via_cache(
     core: &Core,
+    fault: &Option<Arc<FaultPlan>>,
     expr: &PathExpr,
     opts: &QueryOptions,
 ) -> Result<(Arc<PreparedQuery>, CacheOutcome)> {
-    faultpoint!("service.plan_cache");
+    faultpoint!(fault, "service.plan_cache");
     let do_prepare = || {
         prepare(
             &core.schema,
@@ -705,11 +739,12 @@ fn run_query(
     deadline: Instant,
     timeout_ms: u64,
 ) -> Result<QueryResponse> {
-    faultpoint!("service.dispatch");
+    let fault = core.fault_slot().clone();
+    faultpoint!(fault, "service.dispatch");
     let queue_micros = submitted.elapsed().as_micros() as u64;
     let traced = opts.analyze || core.tracer.should_trace();
     let cache_start = Instant::now();
-    let (prepared, cache) = prepare_via_cache(core, expr, opts)?;
+    let (prepared, cache) = prepare_via_cache(core, &fault, expr, opts)?;
     let cache_micros = cache_start.elapsed().as_micros() as u64;
     let prepare_micros = match cache {
         CacheOutcome::Hit => 0,
@@ -764,6 +799,7 @@ fn run_query(
                 // queries.
                 let query_limit = opts.max_memory.unwrap_or(core.config.query_memory_limit);
                 ctx.budget = Some(core.governor.begin(query_limit));
+                ctx.fault = fault.clone();
                 let dop = opts
                     .dop
                     .unwrap_or(core.config.default_dop)

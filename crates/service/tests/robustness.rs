@@ -10,19 +10,15 @@
 //!   as `SgqError::Internal`, is counted in metrics, and leaves the
 //!   worker healthy.
 //!
-//! Fault-injection state is process-global, so every test that arms a
-//! plan must hold `FAULT_LOCK`. This binary is the only place in the
-//! service crate that arms faults.
+//! Fault plans are armed per service, so these tests run in parallel
+//! without seeing each other's faults.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use sgq_common::fault::{self, FaultConfig, FaultKind};
+use sgq_common::{FaultConfig, FaultKind};
 use sgq_datasets::yago::{self, YagoConfig};
 use sgq_ra::LayoutKind;
 use sgq_service::{QueryOptions, Service, ServiceConfig};
-
-/// Serialises fault-arming tests (the plan is process-global).
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 fn service_with(config: ServiceConfig) -> Service {
     let (schema, db) = yago::generate(YagoConfig::tiny());
@@ -185,25 +181,23 @@ fn deadline_expiry_mid_morsel_is_graceful_under_every_layout() {
 
 #[test]
 fn injected_worker_panic_is_contained_as_internal_error() {
-    let _l = FAULT_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let service = service_with(ServiceConfig::with_workers(1));
     let session = service.session();
     let opts = QueryOptions::default();
     let reference = session.execute("influences+", &opts).unwrap();
 
-    {
-        let _armed = fault::armed_scope(FaultConfig {
-            seed: 1,
-            probability: 1.0,
-            site: Some("service.dispatch"),
-            kind: FaultKind::Panic,
-        });
-        let err = session.execute("influences+", &opts).unwrap_err();
-        assert!(err.is_internal(), "panic must surface as Internal: {err}");
-        let msg = err.to_string();
-        assert!(msg.contains("worker panicked"), "message: {msg}");
-        assert!(msg.contains("service.dispatch"), "payload preserved: {msg}");
-    }
+    service.arm_faults(FaultConfig {
+        seed: 1,
+        probability: 1.0,
+        site: Some("service.dispatch"),
+        kind: FaultKind::Panic,
+    });
+    let err = session.execute("influences+", &opts).unwrap_err();
+    assert!(err.is_internal(), "panic must surface as Internal: {err}");
+    let msg = err.to_string();
+    assert!(msg.contains("worker panicked"), "message: {msg}");
+    assert!(msg.contains("service.dispatch"), "payload preserved: {msg}");
+    assert_eq!(service.disarm_faults().get("service.dispatch"), Some(&1));
 
     let m = service.metrics();
     assert!(m.worker_panics >= 1, "containment is counted: {m}");
@@ -217,7 +211,6 @@ fn injected_worker_panic_is_contained_as_internal_error() {
 
 #[test]
 fn injected_transients_are_classified_retryable_and_retried_away() {
-    let _l = FAULT_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let service = service_with(ServiceConfig::with_workers(1));
     let session = service.session();
     let opts = QueryOptions {
@@ -226,13 +219,14 @@ fn injected_transients_are_classified_retryable_and_retried_away() {
     };
     let reference = session.execute("owns/isLocatedIn+", &opts).unwrap();
 
-    let _armed = fault::armed_scope(FaultConfig::errors(3, 0.2));
+    service.arm_faults(FaultConfig::errors(3, 0.2));
     let policy = sgq_service::RetryPolicy::unbounded(3);
     let (result, retries) =
         sgq_service::retry_with_backoff(policy, || session.execute("owns/isLocatedIn+", &opts));
     assert_eq!(result.unwrap().rows, reference.rows);
     // p=0.2 across ~10 sites per attempt: some attempt must have failed.
     assert!(retries > 0, "no transient fired at p=0.2");
+    assert!(!service.disarm_faults().is_empty());
     let m = service.metrics();
     assert!(m.errors_transient >= 1, "metrics classify transients: {m}");
     assert_eq!(service.governor().used(), 0);

@@ -537,10 +537,21 @@ fn parallel_execution_is_bit_identical_to_serial() {
     // (same columns, same row buffer contents). Parallelism is forced
     // on the tiny fixture by dropping the cost gate to 1 row and
     // capping morsels at 2 rows; DOP=7 exercises an uneven last morsel
-    // and more workers than morsels.
+    // and more workers than morsels. Serial execution is the same
+    // kernels run inline over one range, so the work counters agree too.
     let db = fig2_yago_database();
     let store = RelStore::load(&db);
     let (v0, v1) = (store.symbols.col("v0"), store.symbols.col("v1"));
+    let counters = |ctx: &ExecContext| {
+        (
+            ctx.rows_materialized(),
+            ctx.hash_builds,
+            ctx.cache_hits,
+            ctx.scans,
+            ctx.fixpoint_rounds,
+        )
+    };
+    let mut morsels = 0;
     for seed in 0..96u64 {
         let mut rng = Rng::seed_from_u64(seed ^ 0xd0b);
         let expr = random_expr(&db, &mut rng, 3);
@@ -550,8 +561,8 @@ fn parallel_execution_is_bit_identical_to_serial() {
         let opt = optimize(&term, &store);
         let p = plan(&opt, &store).expect("optimized term lowers");
 
-        let mut ctx = ExecContext::new();
-        let serial = execute_plan(&p, &store, &mut ctx).expect("serial plan executes");
+        let mut serial_ctx = ExecContext::new();
+        let serial = execute_plan(&p, &store, &mut serial_ctx).expect("serial plan executes");
         for dop in [2usize, 7] {
             let mut ctx = ExecContext::new();
             ctx.dop = dop;
@@ -562,8 +573,15 @@ fn parallel_execution_is_bit_identical_to_serial() {
                 serial, par,
                 "DOP={dop} changed results (seed {seed}) for {expr:?}"
             );
+            assert_eq!(
+                counters(&serial_ctx),
+                counters(&ctx),
+                "DOP={dop} changed the work counters (seed {seed}) for {expr:?}"
+            );
+            morsels += ctx.morsels_executed;
         }
     }
+    assert!(morsels > 0, "no parallel section ran");
 }
 
 #[test]
