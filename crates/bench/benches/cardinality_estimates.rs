@@ -8,7 +8,7 @@
 
 use sgq_bench::{black_box, criterion_group, criterion_main, Criterion};
 use sgq_common::{EdgeLabelId, NodeLabelId};
-use sgq_core::pipeline::RewriteOptions;
+use sgq_core::pipeline::{rewrite_path, RewriteOptions};
 use sgq_datasets::ldbc::{self, LdbcConfig};
 use sgq_graph::GraphStats;
 use sgq_ra::exec::{execute_plan, ExecContext};
@@ -28,14 +28,9 @@ fn bench(c: &mut Criterion) {
         .expect("catalog parses")
         .iter()
         .filter_map(|q| {
-            let ucqt = sgq_harness::runner::query_for(
-                &schema,
-                &q.expr,
-                sgq_harness::runner::Approach::Schema,
-                RewriteOptions::default(),
-            )?;
+            let rewritten = rewrite_path(&schema, &q.expr, RewriteOptions::default());
             let mut names = NameGen::new(&store.symbols);
-            ucqt_to_term(&ucqt, &mut names).ok()
+            ucqt_to_term(rewritten.outcome.query()?, &mut names).ok()
         })
         .collect();
     assert!(terms.len() >= 25, "catalog should mostly translate");

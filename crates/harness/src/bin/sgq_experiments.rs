@@ -5,7 +5,7 @@
 //!                 [--sf-max X] [--yago-scale X] [--backend graph|relational]
 //!                 [--out results.json]
 //!                 [--smoke] [--serve-workers 1,2,4] [--serve-clients N]
-//!                 [--serve-iters N] [--serve-sf X] [--est-sf X]
+//!                 [--serve-iters N] [--serve-sf X] [--replay-sf X]
 //!                 [--chaos-sf X] [--chaos-prob P] [--chaos-seeds a,b,c]
 //!
 //! EXPERIMENTS: all (default) | table3 | table5 | table6 | table7 | table8
@@ -22,12 +22,15 @@
 //! threads over the LDBC catalog, worker sweep, plan-cache on/off);
 //! `serve --smoke` is the small CI variant that also verifies concurrent
 //! results against sequential execution.
-//! `estimates` replays both catalogs and reports the per-query q-error of
-//! the stats-v2 cardinality estimator against the v1 heuristics
-//! (`--est-sf` picks the LDBC scale factor, `--yago-scale` the YAGO
-//! size); `estimates --smoke` is the CI gate asserting the v2 median
-//! q-error beats v1 on both catalogs.
-//! `parallel` replays both catalogs serially and at DOP=N, asserts the
+//! `estimates`, `parallel` and `layouts` replay both catalogs at one
+//! scale (`--replay-sf` picks the LDBC scale factor, `--yago-scale` the
+//! YAGO size, `--timeout-ms` the per-query timeout); `observe` replays
+//! YAGO at the same size and timeout. Their `--smoke` gates run at the
+//! fixed smoke scale.
+//! `estimates` reports the per-query q-error of the stats-v2 cardinality
+//! estimator against the v1 heuristics; `estimates --smoke` is the CI
+//! gate asserting the v2 median q-error beats v1 on both catalogs.
+//! `parallel` runs both catalogs serially and at DOP=N, asserts the
 //! results bit-identical, and prints per-query speedups;
 //! `parallel --smoke` is the CI gate at smoke scale with the cost gate
 //! forced open so every probe splits into morsels.
@@ -37,7 +40,7 @@
 //! parses with every lifecycle phase covered, operator spans match
 //! `EXPLAIN ANALYZE` bit-for-bit, and the disabled tracer stays under
 //! a 5% overhead budget.
-//! `layouts` replays both catalogs under every physical storage layout
+//! `layouts` runs both catalogs under every physical storage layout
 //! (per-label, polymorphic, denormalised), asserts the results
 //! bit-identical, and tabulates per-layout timings and plan costs
 //! against the schema-driven advisor's pick; `layouts --smoke` is the
@@ -55,63 +58,63 @@ use std::io::Write as _;
 
 use sgq_core::RedundancyRule;
 use sgq_harness::chaos::{self, ChaosConfig};
-use sgq_harness::estimates::{self, EstimatesConfig};
 use sgq_harness::experiments::{self, ExperimentConfig, ServeConfig};
-use sgq_harness::layouts::{self, LayoutsConfig};
-use sgq_harness::observe::{self, ObserveConfig};
 use sgq_harness::parallel::{self, ParallelConfig};
+use sgq_harness::replay::ReplayScale;
 use sgq_harness::runner::Backend;
+use sgq_harness::{estimates, layouts, observe};
+
+/// An experiment that runs only when named: its name, its `--smoke`
+/// variant and its full run.
+type Explicit<'a> = (&'a str, fn() -> String, &'a dyn Fn() -> String);
+
+/// The value following `flag`, parsed.
+fn value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("{flag} takes a value"))
+}
+
+/// The comma-separated list following `flag`, parsed.
+fn list<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> Vec<T> {
+    let raw: String = value(args, flag);
+    raw.split(',')
+        .map(|v| v.parse().unwrap_or_else(|_| panic!("{flag} takes a,b,c")))
+        .collect()
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = std::env::args().skip(1);
     let mut wanted: Vec<String> = Vec::new();
     let mut cfg = ExperimentConfig::default();
     let mut serve_cfg = ServeConfig::default();
-    let mut est_cfg = EstimatesConfig::default();
-    let mut par_cfg = ParallelConfig::default();
-    let mut obs_cfg = ObserveConfig::default();
-    let mut lay_cfg = LayoutsConfig::default();
+    let mut replay = ReplayScale::default();
     let mut chaos_cfg = ChaosConfig::default();
     let mut smoke_variant = false;
     let mut out_path: Option<String> = None;
 
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    while let Some(arg) = args.next() {
+        let a = &mut args;
+        match arg.as_str() {
             "--timeout-ms" => {
-                i += 1;
-                let ms = args[i].parse().expect("--timeout-ms takes a number");
+                let ms = value(a, &arg);
                 cfg.run.timeout_ms = ms;
                 serve_cfg.timeout_ms = ms;
-                est_cfg.timeout_ms = ms;
-                par_cfg.timeout_ms = ms;
-                obs_cfg.timeout_ms = ms;
-                lay_cfg.timeout_ms = ms;
+                replay.timeout_ms = ms;
                 chaos_cfg.timeout_ms = ms;
             }
-            "--reps" => {
-                i += 1;
-                cfg.run.repetitions = args[i].parse().expect("--reps takes a number");
-            }
+            "--reps" => cfg.run.repetitions = value(a, &arg),
             "--sf-max" => {
-                i += 1;
-                let max: f64 = args[i].parse().expect("--sf-max takes a number");
+                let max: f64 = value(a, &arg);
                 cfg.ldbc_sfs.retain(|&sf| sf <= max);
             }
             "--yago-scale" => {
-                i += 1;
-                cfg.yago_scale = args[i].parse().expect("--yago-scale takes a number");
-                est_cfg.yago_scale = cfg.yago_scale;
-                obs_cfg.yago_scale = cfg.yago_scale;
-                lay_cfg.yago_scale = cfg.yago_scale;
+                cfg.yago_scale = value(a, &arg);
+                replay.yago_scale = cfg.yago_scale;
             }
-            "--est-sf" => {
-                i += 1;
-                est_cfg.ldbc_sf = args[i].parse().expect("--est-sf takes a number");
-            }
+            "--replay-sf" => replay.ldbc_sf = value(a, &arg),
             "--redundancy" => {
-                i += 1;
-                cfg.run.rewrite.redundancy = match args[i].as_str() {
+                cfg.run.rewrite.redundancy = match value::<String>(a, &arg).as_str() {
                     "bothsides" => RedundancyRule::BothSides,
                     "eitherside" => RedundancyRule::EitherSide,
                     "never" => RedundancyRule::Never,
@@ -119,55 +122,23 @@ fn main() {
                 };
             }
             "--backend" => {
-                i += 1;
-                cfg.backend = match args[i].as_str() {
+                cfg.backend = match value::<String>(a, &arg).as_str() {
                     "graph" => Backend::Graph,
                     "relational" => Backend::Relational,
                     other => panic!("unknown backend {other}"),
                 };
             }
-            "--out" => {
-                i += 1;
-                out_path = Some(args[i].clone());
-            }
+            "--out" => out_path = Some(value(a, &arg)),
             "--smoke" => smoke_variant = true,
-            "--serve-workers" => {
-                i += 1;
-                serve_cfg.worker_counts = args[i]
-                    .split(',')
-                    .map(|w| w.parse().expect("--serve-workers takes a,b,c"))
-                    .collect();
-            }
-            "--serve-clients" => {
-                i += 1;
-                serve_cfg.clients = args[i].parse().expect("--serve-clients takes a number");
-            }
-            "--serve-iters" => {
-                i += 1;
-                serve_cfg.iters_per_client = args[i].parse().expect("--serve-iters takes a number");
-            }
-            "--serve-sf" => {
-                i += 1;
-                serve_cfg.sf = args[i].parse().expect("--serve-sf takes a number");
-            }
-            "--chaos-sf" => {
-                i += 1;
-                chaos_cfg.sf = args[i].parse().expect("--chaos-sf takes a number");
-            }
-            "--chaos-prob" => {
-                i += 1;
-                chaos_cfg.probability = args[i].parse().expect("--chaos-prob takes a number");
-            }
-            "--chaos-seeds" => {
-                i += 1;
-                chaos_cfg.seeds = args[i]
-                    .split(',')
-                    .map(|s| s.parse().expect("--chaos-seeds takes a,b,c"))
-                    .collect();
-            }
-            other => wanted.push(other.to_string()),
+            "--serve-workers" => serve_cfg.worker_counts = list(a, &arg),
+            "--serve-clients" => serve_cfg.clients = value(a, &arg),
+            "--serve-iters" => serve_cfg.iters_per_client = value(a, &arg),
+            "--serve-sf" => serve_cfg.sf = value(a, &arg),
+            "--chaos-sf" => chaos_cfg.sf = value(a, &arg),
+            "--chaos-prob" => chaos_cfg.probability = value(a, &arg),
+            "--chaos-seeds" => chaos_cfg.seeds = list(a, &arg),
+            _ => wanted.push(arg),
         }
-        i += 1;
     }
     if wanted.is_empty() {
         wanted.push("all".to_string());
@@ -179,52 +150,33 @@ fn main() {
 
     let mut all_records = Vec::new();
 
-    if want_exact("plans") {
-        println!("{}", experiments::physical_plans());
-    }
-    if want_exact("smoke") {
-        println!("{}", experiments::smoke());
-    }
-    if want_exact("serve") {
-        if smoke_variant {
-            println!("{}", experiments::serve_smoke());
-        } else {
-            println!("{}", experiments::serve(&serve_cfg));
-        }
-    }
-    if want_exact("estimates") {
-        if smoke_variant {
-            println!("{}", estimates::estimates_smoke());
-        } else {
-            println!("{}", estimates::estimates(&est_cfg));
-        }
-    }
-    if want_exact("parallel") {
-        if smoke_variant {
-            println!("{}", parallel::parallel_smoke());
-        } else {
-            println!("{}", parallel::parallel(&par_cfg));
-        }
-    }
-    if want_exact("observe") {
-        if smoke_variant {
-            println!("{}", observe::observe_smoke());
-        } else {
-            println!("{}", observe::observe(&obs_cfg));
-        }
-    }
-    if want_exact("layouts") {
-        if smoke_variant {
-            println!("{}", layouts::layouts_smoke());
-        } else {
-            println!("{}", layouts::layouts(&lay_cfg));
-        }
-    }
-    if want_exact("chaos") {
-        if smoke_variant {
-            println!("{}", chaos::chaos_smoke());
-        } else {
-            println!("{}", chaos::chaos(&chaos_cfg));
+    let explicit: [Explicit<'_>; 8] = [
+        (
+            "plans",
+            experiments::physical_plans,
+            &experiments::physical_plans,
+        ),
+        ("smoke", experiments::smoke, &experiments::smoke),
+        ("serve", experiments::serve_smoke, &|| {
+            experiments::serve(&serve_cfg)
+        }),
+        ("estimates", estimates::estimates_smoke, &|| {
+            estimates::estimates(&replay)
+        }),
+        ("parallel", parallel::parallel_smoke, &|| {
+            parallel::parallel(&replay, &ParallelConfig::default())
+        }),
+        ("observe", observe::observe_smoke, &|| {
+            observe::observe(&replay)
+        }),
+        ("layouts", layouts::layouts_smoke, &|| {
+            layouts::layouts(&replay)
+        }),
+        ("chaos", chaos::chaos_smoke, &|| chaos::chaos(&chaos_cfg)),
+    ];
+    for (name, smoke, full) in explicit {
+        if want_exact(name) {
+            println!("{}", if smoke_variant { smoke() } else { full() });
         }
     }
 

@@ -2,7 +2,7 @@
 //! of the statistics-v2 cost model against the v1 textbook heuristics.
 //!
 //! For every query of the YAGO and LDBC catalogs, the schema-rewritten
-//! query is translated and planned twice — once with
+//! query is prepared for the optimising relational backend twice — once with
 //! [`RelStore::v1_estimates`](sgq_ra::RelStore) selecting the legacy
 //! formulas (flat 10% selection selectivity, `V(c) ≈ min(|rel|, |V|)`,
 //! constant fixpoint growth) and once with the measured statistics
@@ -14,7 +14,7 @@
 //!
 //! A third, *warm-memo* pass measures feedback-driven re-optimisation:
 //! after the cold pass executes every query once with the cardinality
-//! feedback memo recording, each query is planned again — estimates now
+//! feedback memo recording, each query is prepared again — estimates now
 //! come from observed cardinalities — and re-executed. The pass records
 //! the warm root estimate, whether the physical strategy changed, and
 //! the cold/warm execution times. The smoke variant
@@ -26,56 +26,18 @@
 use std::fmt::Write as _;
 
 use sgq_common::json::JsonValue;
-use sgq_core::pipeline::RewriteOptions;
-use sgq_datasets::ldbc::{self, LdbcConfig};
-use sgq_datasets::yago::{self, YagoConfig};
 use sgq_datasets::CatalogQuery;
 use sgq_graph::{GraphDatabase, GraphSchema};
 use sgq_obs::QueryTraceBuilder;
 use sgq_ra::cost::q_error;
 use sgq_ra::exec::{execute_plan, ExecContext};
-use sgq_ra::optimize::optimize;
-use sgq_ra::term::RaTerm;
-use sgq_ra::{plan, PhysPlan, RelStore};
-use sgq_translate::ucqt2rra::{ucqt_to_term, NameGen};
+use sgq_ra::{PhysPlan, RelStore};
 
-use crate::runner::{query_for, Approach};
+use crate::replay::{prepare_schema, replay_catalogs, ReplayScale};
+use crate::summary::median;
 
-/// Configuration for the `estimates` experiment.
-#[derive(Debug, Clone, Copy)]
-pub struct EstimatesConfig {
-    /// LDBC scale factor to replay.
-    pub ldbc_sf: f64,
-    /// Scaling of the YAGO dataset relative to the default size.
-    pub yago_scale: f64,
-    /// Per-query execution timeout (ms) when measuring actual rows.
-    pub timeout_ms: u64,
-    /// Row-materialisation budget per execution (0 = unlimited).
-    pub max_rows: usize,
-}
-
-impl Default for EstimatesConfig {
-    fn default() -> Self {
-        EstimatesConfig {
-            ldbc_sf: 0.3,
-            yago_scale: 0.3,
-            timeout_ms: 10_000,
-            max_rows: 20_000_000,
-        }
-    }
-}
-
-impl EstimatesConfig {
-    /// The small configuration used by CI (`estimates --smoke`).
-    pub fn smoke() -> Self {
-        EstimatesConfig {
-            ldbc_sf: 0.1,
-            yago_scale: 0.05,
-            timeout_ms: 10_000,
-            max_rows: 20_000_000,
-        }
-    }
-}
+/// Row-materialisation budget per execution.
+const MAX_ROWS: usize = 20_000_000;
 
 /// One per-query estimation measurement.
 #[derive(Debug, Clone)]
@@ -120,20 +82,6 @@ impl EstRecord {
     }
 }
 
-/// Median of `values` (0.0 when empty).
-fn median(values: &mut [f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.sort_by(|a, b| a.partial_cmp(b).expect("q-errors are finite"));
-    let n = values.len();
-    if n % 2 == 1 {
-        values[n / 2]
-    } else {
-        (values[n / 2 - 1] + values[n / 2]) / 2.0
-    }
-}
-
 /// Median q-error of the feasible records under each estimator:
 /// `(median_v1, median_v2, feasible_count)`.
 pub fn median_q(records: &[EstRecord]) -> (f64, f64, usize) {
@@ -161,16 +109,31 @@ fn strategy_signature(p: &PhysPlan, store: &RelStore, db: &GraphDatabase) -> Str
         .join("\n")
 }
 
+/// Executes `plan` under the timeout and [`MAX_ROWS`], returning the
+/// result cardinality and the execution time (µs).
+fn execute_timed(
+    plan: &PhysPlan,
+    store: &RelStore,
+    name: &str,
+    timeout_ms: u64,
+) -> (Option<usize>, u64) {
+    let mut ctx = ExecContext::with_timeout(timeout_ms);
+    ctx.max_rows = MAX_ROWS;
+    let mut tb = QueryTraceBuilder::standalone(name);
+    let span = tb.begin("execute");
+    let rows = execute_plan(plan, store, &mut ctx).ok().map(|r| r.len());
+    (rows, tb.end(span))
+}
+
 fn catalog_records(
     dataset: &'static str,
     schema: &GraphSchema,
     db: &GraphDatabase,
     queries: &[CatalogQuery],
-    cfg: &EstimatesConfig,
+    timeout_ms: u64,
 ) -> Vec<EstRecord> {
-    struct ColdRun {
-        name: String,
-        term: RaTerm,
+    struct ColdRun<'q> {
+        query: &'q CatalogQuery,
         est_v1: f64,
         est_v2: f64,
         signature: String,
@@ -184,42 +147,25 @@ fn catalog_records(
     store.feedback.set_enabled(false);
     let mut runs = Vec::new();
     for q in queries {
-        // The schema-rewritten query is the one whose plans carry the
-        // label filters the triple counts speak about; a rewrite that
-        // proves the query empty has nothing to estimate.
-        let Some(ucqt) = query_for(schema, &q.expr, Approach::Schema, RewriteOptions::default())
-        else {
-            continue;
-        };
-        let mut names = NameGen::new(&store.symbols);
-        let Ok(term) = ucqt_to_term(&ucqt, &mut names) else {
-            continue;
-        };
         // Optimise and plan under each estimator: join orders may differ,
         // the estimate measured is each plan's own root estimate.
         store.v1_estimates = true;
-        let Ok(plan_v1) = plan(&optimize(&term, &store), &store) else {
-            continue;
-        };
+        let v1 = prepare_schema(schema, &store, &q.expr);
         store.v1_estimates = false;
-        let Ok(plan_cold) = plan(&optimize(&term, &store), &store) else {
+        let (Ok(v1), Ok(cold)) = (v1, prepare_schema(schema, &store, &q.expr)) else {
             continue;
         };
-        let mut ctx = ExecContext::with_timeout(cfg.timeout_ms);
-        ctx.max_rows = cfg.max_rows;
-        let mut tb = QueryTraceBuilder::standalone(q.name);
-        let span = tb.begin("execute");
-        let actual = execute_plan(&plan_cold, &store, &mut ctx)
-            .ok()
-            .map(|r| r.len());
-        let cold_micros = tb.end(span);
+        // A rewrite that proves the query empty has nothing to estimate.
+        let (Some(plan_v1), Some(plan_cold)) = (v1.plan(), cold.plan()) else {
+            continue;
+        };
+        let (actual, cold_micros) = execute_timed(plan_cold, &store, q.name, timeout_ms);
         runs.push(ColdRun {
-            name: q.name.to_string(),
-            term,
+            query: q,
             est_v1: plan_v1.est.rows,
             est_v2: plan_cold.est.rows,
-            signature: strategy_signature(&plan_cold, &store, db),
-            plan_cold,
+            signature: strategy_signature(plan_cold, &store, db),
+            plan_cold: plan_cold.clone(),
             actual,
             cold_micros,
         });
@@ -229,31 +175,24 @@ fn catalog_records(
     store.feedback.clear();
     store.feedback.set_enabled(true);
     for r in &runs {
-        let mut ctx = ExecContext::with_timeout(cfg.timeout_ms);
-        ctx.max_rows = cfg.max_rows;
-        let _ = execute_plan(&r.plan_cold, &store, &mut ctx);
+        execute_timed(&r.plan_cold, &store, r.query.name, timeout_ms);
     }
-    // Warm pass: re-optimise and re-plan with memoised estimates — the
-    // physical strategy may change — and re-execute.
+    // Warm pass: prepare again with memoised estimates — the physical
+    // strategy may change — and re-execute.
     let mut records = Vec::new();
     for r in runs {
-        let (est_warm, switched, warm_micros) = match plan(&optimize(&r.term, &store), &store) {
-            Ok(plan_warm) => {
-                let switched = strategy_signature(&plan_warm, &store, db) != r.signature;
-                let mut ctx = ExecContext::with_timeout(cfg.timeout_ms);
-                ctx.max_rows = cfg.max_rows;
-                let mut tb = QueryTraceBuilder::standalone(&r.name);
-                let span = tb.begin("execute");
-                let warm_micros = execute_plan(&plan_warm, &store, &mut ctx)
-                    .ok()
-                    .map(|_| tb.end(span));
-                (plan_warm.est.rows, switched, warm_micros)
+        let warm = prepare_schema(schema, &store, &r.query.expr);
+        let (est_warm, switched, warm_micros) = match warm.as_ref().ok().and_then(|p| p.plan()) {
+            Some(plan_warm) => {
+                let switched = strategy_signature(plan_warm, &store, db) != r.signature;
+                let (rows, micros) = execute_timed(plan_warm, &store, r.query.name, timeout_ms);
+                (plan_warm.est.rows, switched, rows.map(|_| micros))
             }
-            Err(_) => (r.est_v2, false, None),
+            None => (r.est_v2, false, None),
         };
         records.push(EstRecord {
             dataset,
-            query: r.name,
+            query: r.query.name.to_string(),
             est_v1: r.est_v1,
             est_v2: r.est_v2,
             est_warm,
@@ -267,67 +206,43 @@ fn catalog_records(
 }
 
 /// Runs the experiment over both catalogs, returning the raw records.
-pub fn run_estimates(cfg: &EstimatesConfig) -> Vec<EstRecord> {
-    let mut records = Vec::new();
-    let (schema, db) = yago::generate(YagoConfig::scaled(cfg.yago_scale));
-    let queries = yago::queries(&schema).expect("catalog parses");
-    records.extend(catalog_records("YAGO", &schema, &db, &queries, cfg));
-    let (schema, db) = ldbc::generate(LdbcConfig::at_scale(cfg.ldbc_sf));
-    let queries = ldbc::queries(&schema).expect("catalog parses");
-    records.extend(catalog_records("LDBC", &schema, &db, &queries, cfg));
-    records
+pub fn run_estimates(scale: &ReplayScale) -> Vec<EstRecord> {
+    replay_catalogs(scale, |dataset, schema, db, queries| {
+        catalog_records(dataset, schema, db, queries, scale.timeout_ms)
+    })
 }
 
 /// Renders the records as a table plus a machine-readable JSON line.
-pub fn render_estimates(records: &[EstRecord], cfg: &EstimatesConfig) -> String {
+pub fn render_estimates(records: &[EstRecord], scale: &ReplayScale) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "Cardinality estimation quality: stats v2 vs v1 heuristics \
          (YAGO x{}, LDBC SF{})\n",
-        cfg.yago_scale, cfg.ldbc_sf
+        scale.yago_scale, scale.ldbc_sf
     );
     let _ = writeln!(
         out,
         "{:<6} {:<6} {:>12} {:>12} {:>12} {:>12} {:>8} {:>8} {:>8} {:>8}",
         "data", "query", "est v1", "est v2", "est warm", "actual", "q v1", "q v2", "q warm", "plan"
     );
+    // Infeasible rows print `timeout` and `-` for the q-errors.
+    let q = |q: Option<f64>| q.map_or("-".to_string(), |q| format!("{q:.2}"));
     for r in records {
-        let switch = if r.switched { "switch" } else { "-" };
-        match r.actual {
-            Some(actual) => {
-                let _ = writeln!(
-                    out,
-                    "{:<6} {:<6} {:>12.1} {:>12.1} {:>12.1} {:>12} {:>8.2} {:>8.2} {:>8.2} {:>8}",
-                    r.dataset,
-                    r.query,
-                    r.est_v1,
-                    r.est_v2,
-                    r.est_warm,
-                    actual,
-                    r.q_v1().expect("feasible"),
-                    r.q_v2().expect("feasible"),
-                    r.q_warm().expect("feasible"),
-                    switch
-                );
-            }
-            None => {
-                let _ = writeln!(
-                    out,
-                    "{:<6} {:<6} {:>12.1} {:>12.1} {:>12.1} {:>12} {:>8} {:>8} {:>8} {:>8}",
-                    r.dataset,
-                    r.query,
-                    r.est_v1,
-                    r.est_v2,
-                    r.est_warm,
-                    "timeout",
-                    "-",
-                    "-",
-                    "-",
-                    switch
-                );
-            }
-        }
+        let _ = writeln!(
+            out,
+            "{:<6} {:<6} {:>12.1} {:>12.1} {:>12.1} {:>12} {:>8} {:>8} {:>8} {:>8}",
+            r.dataset,
+            r.query,
+            r.est_v1,
+            r.est_v2,
+            r.est_warm,
+            r.actual.map_or("timeout".to_string(), |a| a.to_string()),
+            q(r.q_v1()),
+            q(r.q_v2()),
+            q(r.q_warm()),
+            if r.switched { "switch" } else { "-" }
+        );
     }
     let mut json_runs = Vec::new();
     for r in records {
@@ -401,9 +316,8 @@ pub fn render_estimates(records: &[EstRecord], cfg: &EstimatesConfig) -> String 
 }
 
 /// The full experiment: both catalogs, table + JSON.
-pub fn estimates(cfg: &EstimatesConfig) -> String {
-    let records = run_estimates(cfg);
-    render_estimates(&records, cfg)
+pub fn estimates(scale: &ReplayScale) -> String {
+    render_estimates(&run_estimates(scale), scale)
 }
 
 /// CI gate: on the smoke-sized catalogs, the statistics-v2 median q-error
@@ -413,8 +327,8 @@ pub fn estimates(cfg: &EstimatesConfig) -> String {
 /// after feedback. Panics on regression so a broken estimator fails the
 /// build.
 pub fn estimates_smoke() -> String {
-    let cfg = EstimatesConfig::smoke();
-    let records = run_estimates(&cfg);
+    let scale = ReplayScale::smoke();
+    let records = run_estimates(&scale);
     for dataset in ["YAGO", "LDBC"] {
         let subset: Vec<EstRecord> = records
             .iter()
@@ -448,7 +362,7 @@ pub fn estimates_smoke() -> String {
         "estimates smoke: feedback must switch at least one query to a \
          measurably faster physical plan"
     );
-    render_estimates(&records, &cfg)
+    render_estimates(&records, &scale)
 }
 
 #[cfg(test)]

@@ -5,16 +5,17 @@
 
 use std::fmt::Write as _;
 
-use sgq_core::pipeline::{rewrite_path, RewriteOptions};
+use sgq_core::pipeline::{rewrite_path, RewriteOptions, RewriteOutcome};
 use sgq_datasets::ldbc::{self, LdbcConfig};
 use sgq_datasets::stats::{dataset_stats, DatasetStats};
 use sgq_datasets::yago::{self, YagoConfig};
 use sgq_datasets::CatalogQuery;
+use sgq_query::cqt::Ucqt;
 use sgq_ra::exec::ExecContext;
 use sgq_translate::ucqt2rra::{ucqt_to_term, NameGen};
 
 use crate::records::RunRecord;
-use crate::runner::{run_query, Approach, Backend, Measurement, RunConfig, Session};
+use crate::runner::{cross_check, run_query, Approach, Backend, RunConfig, Session};
 use crate::summary::Summary;
 
 /// Configuration shared by the experiment suite.
@@ -425,17 +426,22 @@ pub fn fig14(cfg: &ExperimentConfig) -> (Vec<RunRecord>, String) {
     (records, out)
 }
 
+/// Q1 (`knows/workAt/isLocatedIn`, baseline) and Q2 (its enriched
+/// rewrite): Figs. 15–17 render the translation, not a prepared plan.
+fn q1_and_q2(schema: &sgq_graph::GraphSchema) -> (Ucqt, Ucqt) {
+    let expr =
+        sgq_algebra::parser::parse_path("knows/workAt/isLocatedIn", schema).expect("Q1 parses");
+    match rewrite_path(schema, &expr, RewriteOptions::default()).outcome {
+        RewriteOutcome::Enriched(q) => (Ucqt::path_query(expr), q),
+        other => panic!("Q1 must enrich, got {other:?}"),
+    }
+}
+
 /// Figs. 15 & 16: the SQL and Cypher translations of Q1 (baseline) and Q2
 /// (schema-enriched) — `knows/workAt/isLocatedIn`.
 pub fn fig15_16() -> String {
     let schema = ldbc::schema();
-    let expr =
-        sgq_algebra::parser::parse_path("knows/workAt/isLocatedIn", &schema).expect("Q1 parses");
-    let baseline = sgq_query::cqt::Ucqt::path_query(expr.clone());
-    let enriched = match rewrite_path(&schema, &expr, RewriteOptions::default()).outcome {
-        sgq_core::pipeline::RewriteOutcome::Enriched(q) => q,
-        other => panic!("Q1 must enrich, got {other:?}"),
-    };
+    let (baseline, enriched) = q1_and_q2(&schema);
     // No store is involved: the SQL text is the product, so a standalone
     // symbol table provides the column-id space.
     let symbols = sgq_ra::SymbolTable::new();
@@ -460,13 +466,7 @@ pub fn fig15_16() -> String {
 pub fn fig17(sf: f64) -> String {
     let (schema, db) = ldbc::generate(LdbcConfig::at_scale(sf));
     let store = sgq_ra::RelStore::load(&db);
-    let expr =
-        sgq_algebra::parser::parse_path("knows/workAt/isLocatedIn", &schema).expect("Q1 parses");
-    let baseline = sgq_query::cqt::Ucqt::path_query(expr.clone());
-    let enriched = match rewrite_path(&schema, &expr, RewriteOptions::default()).outcome {
-        sgq_core::pipeline::RewriteOutcome::Enriched(q) => q,
-        other => panic!("Q1 must enrich, got {other:?}"),
-    };
+    let (baseline, enriched) = q1_and_q2(&schema);
     let mut names = NameGen::new(&store.symbols);
     let t_base = sgq_ra::optimize::optimize(
         &ucqt_to_term(&baseline, &mut names).expect("translates"),
@@ -676,7 +676,7 @@ pub fn physical_plans() -> String {
     out
 }
 
-/// Plans every LDBC catalog query (baseline translation, optimised) and
+/// Prepares every LDBC catalog query (baseline, optimised relational) and
 /// asserts at least one lowers to a CSR [`sgq_ra::PhysOp::IndexJoin`] —
 /// the `plans` experiment's CI gate for the index layer. Returns the
 /// report section listing the queries and one sample `EXPLAIN`.
@@ -689,17 +689,22 @@ fn ldbc_index_join_smoke() -> String {
     let mut with_index = Vec::new();
     let mut sample = None;
     for q in &queries {
-        let mut names = NameGen::new(&store.symbols);
-        let Ok(term) = ucqt_to_term(&q.ucqt(), &mut names) else {
+        let Ok(prepared) = sgq_service::prepare(
+            &schema,
+            &store,
+            &q.expr,
+            Backend::Relational,
+            Approach::Baseline,
+            RewriteOptions::default(),
+        ) else {
             continue;
         };
-        let opt = sgq_ra::optimize::optimize(&term, &store);
-        let Ok(plan) = sgq_ra::plan(&opt, &store) else {
+        let Some(plan) = prepared.plan() else {
             continue;
         };
         if plan.contains_op(&is_index_join) {
             if sample.is_none() {
-                sample = Some((q.name, sgq_ra::explain::explain_plan(&plan, &store, &ldb)));
+                sample = Some((q.name, sgq_ra::explain::explain_plan(plan, &store, &ldb)));
             }
             with_index.push(q.name);
         }
@@ -748,27 +753,8 @@ pub fn smoke() -> String {
         "livesIn/isLocatedIn",
         "isMarriedTo+",
     ] {
-        let expr = sgq_algebra::parser::parse_path(text, &schema).expect("smoke query parses");
-        let mut cards = Vec::new();
-        for backend in [Backend::Graph, Backend::Relational] {
-            for approach in [Approach::Baseline, Approach::Schema] {
-                match run_query(&session, &expr, approach, backend, &config) {
-                    Measurement::Feasible { rows, .. } => cards.push(rows),
-                    Measurement::Infeasible => {
-                        panic!("smoke query {text} infeasible on {backend}/{approach}")
-                    }
-                }
-            }
-        }
-        assert!(
-            cards.windows(2).all(|w| w[0] == w[1]),
-            "smoke query {text} disagrees across backends/approaches: {cards:?}"
-        );
-        let _ = writeln!(
-            out,
-            "{text:<28} {:>6} {:>6} {:>6} {:>6}",
-            cards[0], cards[1], cards[2], cards[3]
-        );
+        let [gb, gs, rb, rs] = cross_check(&session, text, &config);
+        let _ = writeln!(out, "{text:<28} {gb:>6} {gs:>6} {rb:>6} {rs:>6}");
     }
     out
 }
@@ -1105,19 +1091,6 @@ pub fn serve_smoke() -> String {
     );
     let _ = writeln!(out, "{m}");
     out
-}
-
-/// Runs one measurement for a single expression — helper for examples.
-pub fn measure_pair(
-    session: &Session<'_>,
-    expr: &sgq_algebra::ast::PathExpr,
-    backend: Backend,
-    run: &RunConfig,
-) -> (Measurement, Measurement) {
-    (
-        run_query(session, expr, Approach::Baseline, backend, run),
-        run_query(session, expr, Approach::Schema, backend, run),
-    )
 }
 
 #[cfg(test)]

@@ -1,17 +1,16 @@
 //! The `layouts` experiment: the physical-storage-layout ablation over
 //! the bundled catalogs.
 //!
-//! Every query of the YAGO and LDBC catalogs is schema-rewritten once,
-//! then planned and executed against three stores loaded from the same
-//! database under each [`LayoutKind`] — per-label (the Fig. 11 default),
-//! polymorphic (one global edge table with a label bitmask) and
-//! denormalised (precomputed endpoint-label slices). Each layout plans
-//! with its own capabilities (masked multi scans, denorm slice scans),
-//! so the plans differ; the results must agree **bit-for-bit** (the
-//! canonical set semantics make this exact), and any divergence panics.
-//! Per-layout timings and estimated plan costs are tabulated together
-//! with the layout the schema-driven [`LayoutAdvisor`] picks for the
-//! catalog.
+//! One variant of the [differential replay driver](crate::replay) per
+//! [`LayoutKind`]: stores loaded from the same database as per-label
+//! (the Fig. 11 default and the reference), polymorphic (one global edge
+//! table with a label bitmask) and denormalised (precomputed
+//! endpoint-label slices). Each layout prepares with its own
+//! capabilities (masked multi scans, denorm slice scans), so the plans
+//! differ; the results must agree **bit-for-bit**, and any divergence
+//! panics. Per-layout timings and estimated plan costs are tabulated
+//! together with the layout the schema-driven [`LayoutAdvisor`] picks
+//! for the catalog.
 //!
 //! The smoke variant ([`layouts_smoke`]) is the CI gate: both catalogs
 //! at smoke scale, every query bit-identical across all three layouts,
@@ -20,217 +19,69 @@
 
 use std::fmt::Write as _;
 
-use sgq_core::pipeline::RewriteOptions;
-use sgq_datasets::ldbc::{self, LdbcConfig};
-use sgq_datasets::yago::{self, YagoConfig};
-use sgq_datasets::CatalogQuery;
-use sgq_graph::{GraphDatabase, GraphSchema};
-use sgq_obs::QueryTraceBuilder;
-use sgq_ra::exec::{execute_plan, ExecContext};
-use sgq_ra::optimize::optimize;
-use sgq_ra::{plan, LayoutAdvisor, LayoutKind, RelStore};
-use sgq_translate::ucqt2rra::{ucqt_to_term, NameGen};
+use sgq_ra::{LayoutAdvisor, LayoutKind, RelStore};
 
-use crate::runner::{query_for, Approach};
+use crate::replay::{differential, replay_catalogs, ReplayScale, Replayed, Variant};
+use crate::summary::median;
 
-/// Configuration for the `layouts` experiment.
-#[derive(Debug, Clone, Copy)]
-pub struct LayoutsConfig {
-    /// LDBC scale factor to replay.
-    pub ldbc_sf: f64,
-    /// Scaling of the YAGO dataset relative to the default size.
-    pub yago_scale: f64,
-    /// Timed executions per (query, layout); the best run is kept.
-    pub repeats: usize,
-    /// Per-query execution timeout (ms).
-    pub timeout_ms: u64,
+/// Best-of runs per (query, layout) in the full experiment.
+const FULL_REPEATS: usize = 3;
+
+/// The best measured speedup of a non-default layout over the per-label
+/// baseline (>1 means some non-default layout was faster).
+fn best_speedup(r: &Replayed) -> f64 {
+    r.ms[0] / r.ms[1].min(r.ms[2]).max(1e-9)
 }
 
-impl Default for LayoutsConfig {
-    fn default() -> Self {
-        LayoutsConfig {
-            ldbc_sf: 0.3,
-            yago_scale: 0.3,
-            repeats: 3,
-            timeout_ms: 10_000,
-        }
-    }
+/// Whether some non-default layout *plans* measurably cheaper than the
+/// per-label baseline: at least `margin` (e.g. 0.1 = 10%) off the
+/// estimated cost. Deterministic, so usable as a CI gate.
+fn plans_cheaper(r: &Replayed, margin: f64) -> bool {
+    r.plan_cost[1].min(r.plan_cost[2]) <= r.plan_cost[0] * (1.0 - margin)
 }
 
-impl LayoutsConfig {
-    /// The small configuration used by CI (`layouts --smoke`).
-    pub fn smoke() -> Self {
-        LayoutsConfig {
-            ldbc_sf: 0.1,
-            yago_scale: 0.05,
-            repeats: 1,
-            timeout_ms: 10_000,
-        }
-    }
-}
-
-/// One query measured under every storage layout.
-#[derive(Debug, Clone)]
-pub struct LayoutRecord {
-    /// Catalog the query came from (`YAGO` / `LDBC`).
-    pub dataset: &'static str,
-    /// Query label as in Tab. 4.
-    pub query: String,
-    /// Result rows (identical across all layouts by construction).
-    pub rows: usize,
-    /// Best-of-`repeats` execution time per layout, in
-    /// [`LayoutKind::ALL`] order (ms).
-    pub ms: [f64; 3],
-    /// Estimated root plan cost per layout, in [`LayoutKind::ALL`]
-    /// order — deterministic, unlike the timings.
-    pub plan_cost: [f64; 3],
-    /// The layout the schema-driven advisor picked for this catalog.
-    pub advised: LayoutKind,
-}
-
-impl LayoutRecord {
-    /// Measured time under the per-label baseline (ms).
-    pub fn per_label_ms(&self) -> f64 {
-        self.ms[0]
-    }
-
-    /// Measured time under the advisor's pick (ms).
-    pub fn advised_ms(&self) -> f64 {
-        self.ms[layout_idx(self.advised)]
-    }
-
-    /// The best measured speedup of a non-default layout over the
-    /// per-label baseline (>1 means some non-default layout was faster).
-    pub fn best_speedup(&self) -> f64 {
-        let fastest = self.ms[1].min(self.ms[2]);
-        self.per_label_ms() / fastest.max(1e-9)
-    }
-
-    /// Whether some non-default layout *plans* measurably cheaper than
-    /// the per-label baseline: at least `margin` (e.g. 0.1 = 10%) off
-    /// the estimated cost. Deterministic, so usable as a CI gate.
-    pub fn plans_cheaper(&self, margin: f64) -> bool {
-        let cheapest = self.plan_cost[1].min(self.plan_cost[2]);
-        cheapest <= self.plan_cost[0] * (1.0 - margin)
-    }
-}
-
-/// The position of `kind` in [`LayoutKind::ALL`].
-fn layout_idx(kind: LayoutKind) -> usize {
-    LayoutKind::ALL
-        .iter()
-        .position(|&k| k == kind)
-        .expect("ALL covers every layout kind")
-}
-
-fn catalog_records(
-    dataset: &'static str,
-    schema: &GraphSchema,
-    db: &GraphDatabase,
-    queries: &[CatalogQuery],
-    cfg: &LayoutsConfig,
-) -> Vec<LayoutRecord> {
-    let stores: Vec<RelStore> = LayoutKind::ALL
-        .iter()
-        .map(|&k| RelStore::load_with_layout(db, k))
-        .collect();
-    let advised = LayoutAdvisor::choose(schema, &stores[0].stats);
-    let mut records = Vec::new();
-    for q in queries {
-        let Some(ucqt) = query_for(schema, &q.expr, Approach::Schema, RewriteOptions::default())
-        else {
-            continue;
-        };
-        let mut names = NameGen::new(&stores[0].symbols);
-        let Ok(term) = ucqt_to_term(&ucqt, &mut names) else {
-            continue;
-        };
-        let mut ms = [f64::INFINITY; 3];
-        let mut plan_cost = [0.0f64; 3];
-        let mut results: Vec<sgq_ra::Relation> = Vec::new();
-        let mut timed_out = false;
-        for (i, store) in stores.iter().enumerate() {
-            // Each layout lowers with its own capabilities — plan per
-            // store, not once.
-            let Ok(p) = plan(&optimize(&term, store), store) else {
-                timed_out = true;
-                break;
-            };
-            plan_cost[i] = p.est.cost;
-            let mut tb = QueryTraceBuilder::standalone(q.name);
-            let mut run = None;
-            for _ in 0..cfg.repeats.max(1) {
-                let mut ctx = ExecContext::with_timeout(cfg.timeout_ms);
-                let span = tb.begin("exec");
-                let Ok(rel) = execute_plan(&p, store, &mut ctx) else {
-                    run = None;
-                    break;
-                };
-                let elapsed = tb.end(span) as f64 / 1e3;
-                ms[i] = ms[i].min(elapsed);
-                run = Some(rel);
-            }
-            let Some(rel) = run else {
-                timed_out = true;
-                break;
-            };
-            results.push(rel);
-        }
-        if timed_out {
-            continue; // nothing to compare for this query
-        }
-        for (i, rel) in results.iter().enumerate().skip(1) {
-            assert_eq!(
-                &results[0],
-                rel,
-                "{dataset}/{}: layout {} diverged from per-label",
-                q.name,
-                LayoutKind::ALL[i]
-            );
-        }
-        records.push(LayoutRecord {
+/// Runs the experiment over both catalogs, best of `repeats` runs per
+/// (query, layout). Each record's variants follow [`LayoutKind::ALL`];
+/// it is paired with the layout the advisor picked for its catalog.
+pub fn run_layouts(scale: &ReplayScale, repeats: usize) -> Vec<(Replayed, LayoutKind)> {
+    replay_catalogs(scale, |dataset, schema, db, queries| {
+        let stores: Vec<RelStore> = LayoutKind::ALL
+            .iter()
+            .map(|&k| RelStore::load_with_layout(db, k))
+            .collect();
+        let advised = LayoutAdvisor::choose(schema, &stores[0].stats);
+        let variants: Vec<Variant<'_>> = stores
+            .iter()
+            .map(|s| -> Variant<'_> { (s, &|_| {}) })
+            .collect();
+        differential(
             dataset,
-            query: q.name.to_string(),
-            rows: results[0].len(),
-            ms,
-            plan_cost,
-            advised,
-        });
-    }
-    records
-}
-
-/// Runs the experiment over both catalogs, returning the raw records.
-pub fn run_layouts(cfg: &LayoutsConfig) -> Vec<LayoutRecord> {
-    let mut records = Vec::new();
-    let (schema, db) = yago::generate(YagoConfig::scaled(cfg.yago_scale));
-    let queries = yago::queries(&schema).expect("catalog parses");
-    records.extend(catalog_records("YAGO", &schema, &db, &queries, cfg));
-    let (schema, db) = ldbc::generate(LdbcConfig::at_scale(cfg.ldbc_sf));
-    let queries = ldbc::queries(&schema).expect("catalog parses");
-    records.extend(catalog_records("LDBC", &schema, &db, &queries, cfg));
-    records
-}
-
-/// Median of `values` (0.0 when empty); sorts in place.
-pub(crate) fn median(values: &mut [f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.sort_by(|a, b| a.total_cmp(b));
-    values[values.len() / 2]
+            schema,
+            queries,
+            &variants,
+            scale.timeout_ms,
+            repeats,
+        )
+        .into_iter()
+        .map(|r| (r, advised))
+        .collect()
+    })
 }
 
 /// Renders the records as a table plus a per-layout summary.
-pub fn render_layouts(records: &[LayoutRecord], cfg: &LayoutsConfig) -> String {
+pub fn render_layouts(
+    records: &[(Replayed, LayoutKind)],
+    scale: &ReplayScale,
+    repeats: usize,
+) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "storage layouts: per-label vs polymorphic vs denormalized \
          (YAGO x{}, LDBC SF {}, best of {} runs)",
-        cfg.yago_scale,
-        cfg.ldbc_sf,
-        cfg.repeats.max(1)
+        scale.yago_scale,
+        scale.ldbc_sf,
+        repeats.max(1)
     );
     let _ = writeln!(
         out,
@@ -244,7 +95,7 @@ pub fn render_layouts(records: &[LayoutRecord], cfg: &LayoutsConfig) -> String {
         "advised",
         "speedup"
     );
-    for r in records {
+    for (r, advised) in records {
         let _ = writeln!(
             out,
             "{:<7} {:<14} {:>10} {:>9.2} ms {:>9.2} ms {:>9.2} ms {:<13} {:>8.2}x",
@@ -254,17 +105,26 @@ pub fn render_layouts(records: &[LayoutRecord], cfg: &LayoutsConfig) -> String {
             r.ms[0],
             r.ms[1],
             r.ms[2],
-            r.advised.name(),
-            r.best_speedup()
+            advised.name(),
+            best_speedup(r)
         );
     }
-    let mut per_label: Vec<f64> = records.iter().map(|r| r.per_label_ms()).collect();
-    let mut advised: Vec<f64> = records.iter().map(|r| r.advised_ms()).collect();
+    let mut per_label: Vec<f64> = records.iter().map(|(r, _)| r.ms[0]).collect();
+    let mut advised: Vec<f64> = records
+        .iter()
+        .map(|(r, advised)| {
+            let i = LayoutKind::ALL.iter().position(|k| k == advised);
+            r.ms[i.expect("ALL covers every layout kind")]
+        })
+        .collect();
     let best = records
         .iter()
-        .map(LayoutRecord::best_speedup)
+        .map(|(r, _)| best_speedup(r))
         .fold(0.0f64, f64::max);
-    let cheaper = records.iter().filter(|r| r.plans_cheaper(0.1)).count();
+    let cheaper = records
+        .iter()
+        .filter(|(r, _)| plans_cheaper(r, 0.1))
+        .count();
     let _ = writeln!(
         out,
         "median per-label {:.2} ms, median advised {:.2} ms; \
@@ -279,8 +139,8 @@ pub fn render_layouts(records: &[LayoutRecord], cfg: &LayoutsConfig) -> String {
 }
 
 /// The full experiment: run and render.
-pub fn layouts(cfg: &LayoutsConfig) -> String {
-    render_layouts(&run_layouts(cfg), cfg)
+pub fn layouts(scale: &ReplayScale) -> String {
+    render_layouts(&run_layouts(scale, FULL_REPEATS), scale, FULL_REPEATS)
 }
 
 /// The CI gate: both catalogs at smoke scale, every query bit-identical
@@ -288,18 +148,18 @@ pub fn layouts(cfg: &LayoutsConfig) -> String {
 /// query planning measurably (>= 10% estimated cost) cheaper under a
 /// non-default layout.
 pub fn layouts_smoke() -> String {
-    let cfg = LayoutsConfig::smoke();
-    let records = run_layouts(&cfg);
+    let scale = ReplayScale::smoke();
+    let records = run_layouts(&scale, 1);
     assert!(
         !records.is_empty(),
         "layouts smoke produced no comparable queries"
     );
     assert!(
-        records.iter().any(|r| r.plans_cheaper(0.1)),
+        records.iter().any(|(r, _)| plans_cheaper(r, 0.1)),
         "layouts smoke: no query planned measurably cheaper under a \
          non-default layout — the layout-specific strategies never fired"
     );
-    let mut out = render_layouts(&records, &cfg);
+    let mut out = render_layouts(&records, &scale, 1);
     out.push_str("layouts --smoke gate: PASS (all layouts bit-identical on both catalogs)\n");
     out
 }
@@ -319,9 +179,9 @@ mod tests {
         // Both bundled schemas overload edge labels across several
         // endpoint-label triples, so the advisor picks the denormalised
         // layout — the record carries it for the report.
-        let records = run_layouts(&LayoutsConfig::smoke());
+        let records = run_layouts(&ReplayScale::smoke(), 1);
         assert!(records
             .iter()
-            .all(|r| r.advised == LayoutKind::Denormalized));
+            .all(|(_, advised)| *advised == LayoutKind::Denormalized));
     }
 }

@@ -2,7 +2,12 @@
 //! paper's evaluation (§5).
 //!
 //! * [`runner`] — runs one query (baseline vs schema-rewritten) on either
-//!   backend under the timeout/repetition protocol of §5.1.5,
+//!   backend under the timeout/repetition protocol of §5.1.5, prepared
+//!   by the production front-end ([`sgq_service::prepare`]),
+//! * [`replay`] — the YAGO-then-LDBC catalog replay and the differential
+//!   driver behind the bit-identity gates: every query prepared and
+//!   executed under each variant (store, executor settings), results
+//!   asserted bit-identical to the reference variant,
 //! * [`summary`] — box-plot statistics (Tabs. 7/8, Figs. 13/14),
 //! * [`experiments`] — one function per table/figure, each returning a
 //!   printable report,
@@ -39,6 +44,7 @@ pub mod layouts;
 pub mod observe;
 pub mod parallel;
 pub mod records;
+pub mod replay;
 pub mod runner;
 pub mod summary;
 

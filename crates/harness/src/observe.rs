@@ -31,8 +31,8 @@ use sgq_obs::{chrome_traces_json, QueryTrace, Tracer};
 use sgq_ra::exec::{execute_plan, ExecContext};
 use sgq_service::{QueryOptions, Service, ServiceConfig};
 
-use crate::layouts::median;
-use crate::runner::{prepare_relational, query_for, Approach, Backend, RunConfig};
+use crate::replay::{prepare_schema, ReplayScale};
+use crate::summary::median;
 
 /// Tolerance (µs) for span-boundary comparisons: phase spans are
 /// back-filled from separately truncated microsecond measurements, so
@@ -47,42 +47,9 @@ const MAX_DISABLED_OVERHEAD: f64 = 0.05;
 /// check whose true cost is one relaxed atomic load per query.
 const OVERHEAD_SLACK_US: f64 = 100.0;
 
-/// Configuration for the `observe` experiment.
-#[derive(Debug, Clone, Copy)]
-pub struct ObserveConfig {
-    /// Scaling of the YAGO dataset relative to the default size.
-    pub yago_scale: f64,
-    /// Per-query timeout (ms).
-    pub timeout_ms: u64,
-    /// Interleaved overhead pairs per round.
-    pub overhead_reps: usize,
-    /// Overhead-measurement rounds (`overhead_rounds × overhead_reps`
-    /// pairs in all; their median ratio is compared).
-    pub overhead_rounds: usize,
-}
-
-impl Default for ObserveConfig {
-    fn default() -> Self {
-        ObserveConfig {
-            yago_scale: 0.3,
-            timeout_ms: 10_000,
-            overhead_reps: 40,
-            overhead_rounds: 5,
-        }
-    }
-}
-
-impl ObserveConfig {
-    /// The small configuration used by CI (`observe --smoke`).
-    pub fn smoke() -> Self {
-        ObserveConfig {
-            yago_scale: 0.05,
-            timeout_ms: 10_000,
-            overhead_reps: 30,
-            overhead_rounds: 5,
-        }
-    }
-}
+/// Overhead-measurement rounds; each times `overhead_reps` interleaved
+/// pairs, and the median ratio over all pairs is compared.
+const OVERHEAD_ROUNDS: usize = 5;
 
 fn span_of<'t>(trace: &'t QueryTrace, name: &str) -> Option<&'t sgq_obs::Span> {
     trace.phases.iter().find(|s| s.name == name)
@@ -215,12 +182,13 @@ struct Overhead {
 fn measure_overhead(
     store: &sgq_ra::RelStore,
     plan: &sgq_ra::PhysPlan,
-    cfg: &ObserveConfig,
+    timeout_ms: u64,
+    pairs: usize,
 ) -> Overhead {
     let tracer = Tracer::new(4); // stays disabled
     let time = |kind: &str| {
         let start = Instant::now();
-        let mut ctx = ExecContext::with_timeout(cfg.timeout_ms);
+        let mut ctx = ExecContext::with_timeout(timeout_ms);
         match kind {
             "traced" => {
                 let _ = sgq_ra::exec::execute_plan_traced(plan, store, &mut ctx);
@@ -238,7 +206,7 @@ fn measure_overhead(
         start.elapsed().as_secs_f64() * 1e6
     };
     let (mut base, mut disabled, mut aa, mut traced) = (vec![], vec![], vec![], vec![]);
-    for pair in 0..cfg.overhead_rounds * cfg.overhead_reps {
+    for pair in 0..pairs {
         let (b, d) = if pair % 2 == 0 {
             let b = time("baseline");
             (b, time("disabled"))
@@ -259,15 +227,15 @@ fn measure_overhead(
     }
 }
 
-fn run_observe(cfg: &ObserveConfig, gate: bool) -> String {
+fn run_observe(scale: &ReplayScale, overhead_reps: usize, gate: bool) -> String {
     let mut out = String::new();
-    let (schema, db) = yago::generate(YagoConfig::scaled(cfg.yago_scale));
+    let (schema, db) = yago::generate(YagoConfig::scaled(scale.yago_scale));
     let queries = yago::queries(&schema).expect("catalog parses");
 
     let service_cfg = ServiceConfig {
         tracing: true,
         trace_sample_every: 1,
-        default_timeout_ms: cfg.timeout_ms,
+        default_timeout_ms: scale.timeout_ms,
         ..ServiceConfig::with_workers(1)
     };
     let service = Service::build(schema.clone(), db.clone(), service_cfg);
@@ -282,7 +250,7 @@ fn run_observe(cfg: &ObserveConfig, gate: bool) -> String {
     let _ = writeln!(
         out,
         "observe: YAGO x{} catalog through a traced service ({} queries)",
-        cfg.yago_scale,
+        scale.yago_scale,
         queries.len()
     );
     let _ = writeln!(
@@ -357,27 +325,23 @@ fn run_observe(cfg: &ObserveConfig, gate: bool) -> String {
 
     // Overhead gate on the raw executor hot loop, away from the
     // service's queueing noise.
-    let run_cfg = RunConfig {
-        timeout_ms: cfg.timeout_ms,
-        ..Default::default()
-    };
-    let runner_session = crate::runner::Session::new(&schema, &db);
+    let store = sgq_ra::RelStore::load(&db);
     let (plan, plan_query) = queries
         .iter()
         .find_map(|q| {
-            let ucqt = query_for(&schema, &q.expr, Approach::Schema, run_cfg.rewrite)?;
-            let plan = prepare_relational(&runner_session, &ucqt, Backend::Relational).ok()?;
-            Some((plan, q.name))
+            let prepared = prepare_schema(&schema, &store, &q.expr).ok()?;
+            Some((prepared.plan()?.clone(), q.name))
         })
         .expect("at least one catalog query plans");
-    let m = measure_overhead(&runner_session.store, &plan, cfg);
+    let pairs = OVERHEAD_ROUNDS * overhead_reps;
+    let m = measure_overhead(&store, &plan, scale.timeout_ms, pairs);
     let overhead = m.disabled - 1.0;
     let _ = writeln!(
         out,
         "overhead ({}, median of {} interleaved pairs): untraced {:.1} µs, \
          disabled tracer {:+.2}% (A/A noise floor {:+.2}%), traced {:+.2}%",
         plan_query,
-        cfg.overhead_rounds * cfg.overhead_reps,
+        pairs,
         m.base_us,
         overhead * 100.0,
         (m.aa - 1.0) * 100.0,
@@ -387,7 +351,7 @@ fn run_observe(cfg: &ObserveConfig, gate: bool) -> String {
         assert!(
             overhead
                 <= MAX_DISABLED_OVERHEAD
-                    + OVERHEAD_SLACK_US / (m.base_us * cfg.overhead_reps as f64).max(1.0),
+                    + OVERHEAD_SLACK_US / (m.base_us * overhead_reps as f64).max(1.0),
             "disabled tracer overhead {:.2}% exceeds {}% (A/A noise floor {:+.2}%)",
             overhead * 100.0,
             MAX_DISABLED_OVERHEAD * 100.0,
@@ -399,8 +363,8 @@ fn run_observe(cfg: &ObserveConfig, gate: bool) -> String {
 }
 
 /// The full experiment: replay, report, no hard gates.
-pub fn observe(cfg: &ObserveConfig) -> String {
-    run_observe(cfg, false)
+pub fn observe(scale: &ReplayScale) -> String {
+    run_observe(scale, 40, false)
 }
 
 /// The CI gate: smoke scale with every assertion armed — Chrome export
@@ -408,7 +372,7 @@ pub fn observe(cfg: &ObserveConfig) -> String {
 /// bit-for-bit, the slow-query log fills, and the disabled tracer stays
 /// under the overhead budget.
 pub fn observe_smoke() -> String {
-    run_observe(&ObserveConfig::smoke(), true)
+    run_observe(&ReplayScale::smoke(), 30, true)
 }
 
 #[cfg(test)]

@@ -1,39 +1,26 @@
 //! The `parallel` experiment: morsel-driven intra-query parallelism
 //! soundness and scaling over the bundled catalogs.
 //!
-//! For every query of the YAGO and LDBC catalogs, the schema-rewritten
-//! query is planned once and executed twice — serially (`DOP = 1`) and
-//! with morsel-parallel operators (`DOP = N` over the shared task
-//! scheduler). The runs must agree **bit-for-bit** (same columns, same
-//! row buffer contents — the canonical set semantics make this exact,
-//! not just set-equal); any divergence panics. Per-query timings and the
-//! morsel counts are tabulated, with a sample speedup summary at the
-//! end. The smoke variant ([`parallel_smoke`]) is the CI gate: both
-//! catalogs at smoke scale with the cost gate forced open so even tiny
-//! probes split into morsels, `DOP = 2` against `DOP = 1`.
+//! Two variants of the [differential replay driver](crate::replay) over
+//! one store per catalog: serial execution (`DOP = 1`, the reference)
+//! and morsel-parallel operators (`DOP = N` over the shared task
+//! scheduler). The runs must agree **bit-for-bit**; any divergence
+//! panics. Per-query timings and the morsel counts are tabulated, with a
+//! sample speedup summary at the end. The smoke variant
+//! ([`parallel_smoke`]) is the CI gate: both catalogs at smoke scale
+//! with the cost gate forced open so even tiny probes split into
+//! morsels, `DOP = 2` against `DOP = 1`.
 
 use std::fmt::Write as _;
 
-use sgq_core::pipeline::RewriteOptions;
-use sgq_datasets::ldbc::{self, LdbcConfig};
-use sgq_datasets::yago::{self, YagoConfig};
-use sgq_datasets::CatalogQuery;
-use sgq_graph::{GraphDatabase, GraphSchema};
-use sgq_obs::QueryTraceBuilder;
-use sgq_ra::exec::{execute_plan, ExecContext};
-use sgq_ra::optimize::optimize;
-use sgq_ra::{plan, RelStore};
-use sgq_translate::ucqt2rra::{ucqt_to_term, NameGen};
+use sgq_ra::exec::ExecContext;
+use sgq_ra::RelStore;
 
-use crate::runner::{query_for, Approach};
+use crate::replay::{differential, replay_catalogs, ReplayScale, Replayed, Variant};
 
-/// Configuration for the `parallel` experiment.
+/// The parallel run's executor settings.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelConfig {
-    /// LDBC scale factor to replay.
-    pub ldbc_sf: f64,
-    /// Scaling of the YAGO dataset relative to the default size.
-    pub yago_scale: f64,
     /// Degree of parallelism for the parallel run.
     pub dop: usize,
     /// Probe-row threshold below which operators stay serial; the smoke
@@ -41,129 +28,53 @@ pub struct ParallelConfig {
     pub parallel_threshold: usize,
     /// Morsel size cap (rows).
     pub morsel_rows: usize,
-    /// Per-query execution timeout (ms).
-    pub timeout_ms: u64,
 }
 
 impl Default for ParallelConfig {
     fn default() -> Self {
         ParallelConfig {
-            ldbc_sf: 0.3,
-            yago_scale: 0.3,
             dop: 4,
             parallel_threshold: 1_024,
             morsel_rows: sgq_ra::parallel::MORSEL_ROWS,
-            timeout_ms: 10_000,
         }
     }
 }
 
 impl ParallelConfig {
-    /// The small configuration used by CI (`parallel --smoke`).
+    /// The settings used by CI (`parallel --smoke`).
     pub fn smoke() -> Self {
         ParallelConfig {
-            ldbc_sf: 0.1,
-            yago_scale: 0.05,
             dop: 2,
             parallel_threshold: 1,
             morsel_rows: 256,
-            timeout_ms: 10_000,
         }
     }
 }
 
-/// One per-query serial-vs-parallel measurement.
-#[derive(Debug, Clone)]
-pub struct ParRecord {
-    /// Catalog the query came from (`YAGO` / `LDBC`).
-    pub dataset: &'static str,
-    /// Query label as in Tab. 4.
-    pub query: String,
-    /// Result rows (identical across both runs by construction).
-    pub rows: usize,
-    /// Serial execution time (ms).
-    pub serial_ms: f64,
-    /// Parallel execution time (ms).
-    pub parallel_ms: f64,
-    /// Morsel tasks the parallel run dispatched.
-    pub morsels: usize,
-}
-
-fn catalog_records(
-    dataset: &'static str,
-    schema: &GraphSchema,
-    db: &GraphDatabase,
-    queries: &[CatalogQuery],
-    cfg: &ParallelConfig,
-) -> Vec<ParRecord> {
-    let store = RelStore::load(db);
-    let mut records = Vec::new();
-    for q in queries {
-        let Some(ucqt) = query_for(schema, &q.expr, Approach::Schema, RewriteOptions::default())
-        else {
-            continue;
-        };
-        let mut names = NameGen::new(&store.symbols);
-        let Ok(term) = ucqt_to_term(&ucqt, &mut names) else {
-            continue;
-        };
-        let Ok(p) = plan(&optimize(&term, &store), &store) else {
-            continue;
-        };
-        let mut tb = QueryTraceBuilder::standalone(q.name);
-        let mut ctx = ExecContext::with_timeout(cfg.timeout_ms);
-        let span = tb.begin("serial");
-        let Ok(serial) = execute_plan(&p, &store, &mut ctx) else {
-            continue; // timed out serially; nothing to compare
-        };
-        let serial_ms = tb.end(span) as f64 / 1e3;
-
-        let mut ctx = ExecContext::with_timeout(cfg.timeout_ms);
+/// Runs the experiment over both catalogs: variant 0 is serial, variant
+/// 1 runs at `cfg.dop`.
+pub fn run_parallel(scale: &ReplayScale, cfg: &ParallelConfig) -> Vec<Replayed> {
+    let parallel = |ctx: &mut ExecContext| {
         ctx.dop = cfg.dop;
         ctx.parallel_threshold = cfg.parallel_threshold;
         ctx.morsel_rows = cfg.morsel_rows.max(1);
-        let span = tb.begin("parallel");
-        let parallel = execute_plan(&p, &store, &mut ctx)
-            .unwrap_or_else(|e| panic!("{dataset}/{}: parallel run failed: {e}", q.name));
-        let parallel_ms = tb.end(span) as f64 / 1e3;
-        assert_eq!(
-            serial, parallel,
-            "{dataset}/{}: DOP={} diverged from serial execution",
-            q.name, cfg.dop
-        );
-        records.push(ParRecord {
-            dataset,
-            query: q.name.to_string(),
-            rows: serial.len(),
-            serial_ms,
-            parallel_ms,
-            morsels: ctx.morsels_executed,
-        });
-    }
-    records
-}
-
-/// Runs the experiment over both catalogs, returning the raw records.
-pub fn run_parallel(cfg: &ParallelConfig) -> Vec<ParRecord> {
-    let mut records = Vec::new();
-    let (schema, db) = yago::generate(YagoConfig::scaled(cfg.yago_scale));
-    let queries = yago::queries(&schema).expect("catalog parses");
-    records.extend(catalog_records("YAGO", &schema, &db, &queries, cfg));
-    let (schema, db) = ldbc::generate(LdbcConfig::at_scale(cfg.ldbc_sf));
-    let queries = ldbc::queries(&schema).expect("catalog parses");
-    records.extend(catalog_records("LDBC", &schema, &db, &queries, cfg));
-    records
+    };
+    replay_catalogs(scale, |dataset, schema, db, queries| {
+        let store = RelStore::load(db);
+        let variants: [Variant<'_>; 2] = [(&store, &|_| {}), (&store, &parallel)];
+        differential(dataset, schema, queries, &variants, scale.timeout_ms, 1)
+    })
 }
 
 /// Renders the records as a table plus a speedup summary.
-pub fn render_parallel(records: &[ParRecord], cfg: &ParallelConfig) -> String {
+pub fn render_parallel(records: &[Replayed], scale: &ReplayScale, cfg: &ParallelConfig) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "parallel execution: DOP={} vs serial (YAGO x{}, LDBC SF {}, {} hardware threads)",
         cfg.dop,
-        cfg.yago_scale,
-        cfg.ldbc_sf,
+        scale.yago_scale,
+        scale.ldbc_sf,
         std::thread::available_parallelism().map_or(1, |n| n.get())
     );
     let _ = writeln!(
@@ -178,16 +89,16 @@ pub fn render_parallel(records: &[ParRecord], cfg: &ParallelConfig) -> String {
             r.dataset,
             r.query,
             r.rows,
-            r.serial_ms,
-            r.parallel_ms,
-            r.morsels,
-            r.serial_ms / r.parallel_ms.max(1e-9)
+            r.ms[0],
+            r.ms[1],
+            r.morsels[1],
+            r.ms[0] / r.ms[1].max(1e-9)
         );
     }
-    let parallelised: Vec<&ParRecord> = records.iter().filter(|r| r.morsels > 0).collect();
+    let parallelised: Vec<&Replayed> = records.iter().filter(|r| r.morsels[1] > 0).collect();
     let (s, p) = parallelised
         .iter()
-        .fold((0.0, 0.0), |(s, p), r| (s + r.serial_ms, p + r.parallel_ms));
+        .fold((0.0, 0.0), |(s, p), r| (s + r.ms[0], p + r.ms[1]));
     let _ = writeln!(
         out,
         "{} of {} queries ran parallel sections; sample speedup over them: {:.2}x",
@@ -199,25 +110,25 @@ pub fn render_parallel(records: &[ParRecord], cfg: &ParallelConfig) -> String {
 }
 
 /// The full experiment: run and render.
-pub fn parallel(cfg: &ParallelConfig) -> String {
-    render_parallel(&run_parallel(cfg), cfg)
+pub fn parallel(scale: &ReplayScale, cfg: &ParallelConfig) -> String {
+    render_parallel(&run_parallel(scale, cfg), scale, cfg)
 }
 
 /// The CI gate: both catalogs at smoke scale, every query bit-identical
 /// between DOP=2 and serial execution (asserted inside the run), and at
 /// least one query actually exercising the morsel path.
 pub fn parallel_smoke() -> String {
-    let cfg = ParallelConfig::smoke();
-    let records = run_parallel(&cfg);
+    let (scale, cfg) = (ReplayScale::smoke(), ParallelConfig::smoke());
+    let records = run_parallel(&scale, &cfg);
     assert!(
         !records.is_empty(),
         "parallel smoke produced no comparable queries"
     );
     assert!(
-        records.iter().any(|r| r.morsels > 0),
+        records.iter().any(|r| r.morsels[1] > 0),
         "parallel smoke never dispatched a morsel — the forced gate is broken"
     );
-    let mut out = render_parallel(&records, &cfg);
+    let mut out = render_parallel(&records, &scale, &cfg);
     out.push_str("parallel --smoke gate: PASS (all queries bit-identical to serial)\n");
     out
 }

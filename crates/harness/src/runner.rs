@@ -2,15 +2,14 @@
 //! a per-run timeout and averaging over repetitions.
 
 use sgq_algebra::ast::PathExpr;
-use sgq_common::{Result, SgqError};
-use sgq_core::pipeline::{rewrite_path, RewriteOptions, RewriteOutcome};
+use sgq_common::SgqError;
+use sgq_core::pipeline::RewriteOptions;
 use sgq_engine::GraphEngine;
 use sgq_graph::{GraphDatabase, GraphSchema};
 use sgq_obs::QueryTraceBuilder;
-use sgq_query::cqt::Ucqt;
 use sgq_ra::exec::ExecContext;
 use sgq_ra::RelStore;
-use sgq_translate::ucqt2rra::{ucqt_to_term, NameGen};
+use sgq_service::{prepare, PreparedBody};
 
 // The backend / approach axes are workspace vocabulary shared with the
 // serving layer (the plan-cache key and the experiment records must
@@ -78,93 +77,10 @@ pub enum Measurement {
     Infeasible,
 }
 
-impl Measurement {
-    /// Runtime if feasible.
-    pub fn ms(&self) -> Option<f64> {
-        match self {
-            Measurement::Feasible { ms, .. } => Some(*ms),
-            Measurement::Infeasible => None,
-        }
-    }
-}
-
-/// Resolves the query a given approach executes: the baseline UCQT or the
-/// rewrite outcome.
-pub fn query_for(
-    schema: &GraphSchema,
-    expr: &PathExpr,
-    approach: Approach,
-    rewrite: RewriteOptions,
-) -> Option<Ucqt> {
-    match approach {
-        Approach::Baseline => Some(Ucqt::path_query(expr.clone())),
-        Approach::Schema => match rewrite_path(schema, expr, rewrite).outcome {
-            RewriteOutcome::Enriched(q) | RewriteOutcome::Reverted(q) => Some(q),
-            RewriteOutcome::Empty => None,
-        },
-    }
-}
-
-/// Runs `expr` once on the chosen backend with the timeout applied.
-pub fn run_once(
-    session: &Session<'_>,
-    query: &Ucqt,
-    backend: Backend,
-    config: &RunConfig,
-) -> Result<usize> {
-    match backend {
-        Backend::Graph => {
-            let mut engine = GraphEngine::with_timeout(session.db, config.timeout_ms);
-            set_graph_budget(&mut engine, config.max_rows);
-            let rows = engine.run_ucqt(query)?;
-            Ok(rows.len())
-        }
-        Backend::Relational | Backend::RelationalUnoptimized => {
-            let plan = prepare_relational(session, query, backend)?;
-            execute_prepared(session, &plan, config)
-        }
-    }
-}
-
-/// Translates, (optionally) optimises and lowers a query into a physical
-/// plan for the relational backends. Planning happens once per query;
-/// repetitions then only interpret the plan.
-pub fn prepare_relational(
-    session: &Session<'_>,
-    query: &Ucqt,
-    backend: Backend,
-) -> Result<sgq_ra::PhysPlan> {
-    let mut names = NameGen::new(&session.store.symbols);
-    let term = ucqt_to_term(query, &mut names)?;
-    let term = if backend == Backend::Relational {
-        sgq_ra::optimize::optimize(&term, &session.store)
-    } else {
-        term
-    };
-    sgq_ra::plan(&term, &session.store)
-}
-
-/// Interprets a prepared physical plan under the run protocol's timeout
-/// and row budget, returning the result cardinality.
-pub fn execute_prepared(
-    session: &Session<'_>,
-    plan: &sgq_ra::PhysPlan,
-    config: &RunConfig,
-) -> Result<usize> {
-    let mut ctx = ExecContext::with_timeout(config.timeout_ms);
-    ctx.max_rows = config.max_rows;
-    let rel = sgq_ra::execute_plan(plan, &session.store, &mut ctx)?;
-    Ok(rel.len())
-}
-
-fn set_graph_budget(engine: &mut GraphEngine<'_>, max_pairs: usize) {
-    engine.set_max_pairs(max_pairs);
-}
-
-/// Runs a query under the full protocol: rewrite (if schema approach),
-/// repetitions, averaging, timeout classification. Relational queries
-/// are planned once ([`prepare_relational`]) and interpreted per
-/// repetition.
+/// Runs a query under the full protocol: the production front-end
+/// ([`sgq_service::prepare`]: rewrite if schema approach, translate,
+/// optimise, plan) once, then repetitions, averaging and timeout
+/// classification.
 pub fn run_query(
     session: &Session<'_>,
     expr: &PathExpr,
@@ -172,37 +88,42 @@ pub fn run_query(
     backend: Backend,
     config: &RunConfig,
 ) -> Measurement {
-    let Some(query) = query_for(session.schema, expr, approach, config.rewrite) else {
-        // The schema proves the query empty: essentially free.
-        return Measurement::Feasible { ms: 0.0, rows: 0 };
-    };
     // The same phase spans the service traces with also time the
     // measurement protocol: one "prepare" span for planning, one
     // "execute" span per repetition.
     let mut tb = QueryTraceBuilder::standalone("harness-run");
-    let prepare = tb.begin("prepare");
-    let plan = match backend {
-        Backend::Graph => None,
-        Backend::Relational | Backend::RelationalUnoptimized => {
-            match prepare_relational(session, &query, backend) {
-                Ok(p) => Some(p),
-                Err(SgqError::Timeout { .. })
-                | Err(SgqError::RowBudget { .. })
-                | Err(SgqError::Execution(_)) => {
-                    return Measurement::Infeasible;
-                }
-                Err(other) => panic!("unexpected planning failure: {other}"),
-            }
-        }
+    let span = tb.begin("prepare");
+    let prepared = prepare(
+        session.schema,
+        &session.store,
+        expr,
+        backend,
+        approach,
+        config.rewrite,
+    );
+    tb.end(span);
+    let prepared = match prepared {
+        Ok(p) => p,
+        Err(e) if infeasible(&e) => return Measurement::Infeasible,
+        Err(other) => panic!("unexpected planning failure: {other}"),
     };
-    tb.end(prepare);
     let mut total_ms = 0.0;
     let mut rows = 0usize;
     for _ in 0..config.repetitions.max(1) {
         let span = tb.begin("execute");
-        let result = match &plan {
-            None => run_once(session, &query, backend, config),
-            Some(p) => execute_prepared(session, p, config),
+        let result = match prepared.body() {
+            // The schema proves the query empty: essentially free.
+            PreparedBody::Empty => return Measurement::Feasible { ms: 0.0, rows: 0 },
+            PreparedBody::Graph(query) => {
+                let mut engine = GraphEngine::with_timeout(session.db, config.timeout_ms);
+                engine.set_max_pairs(config.max_rows);
+                engine.run_ucqt(query).map(|r| r.len())
+            }
+            PreparedBody::Relational(plan) => {
+                let mut ctx = ExecContext::with_timeout(config.timeout_ms);
+                ctx.max_rows = config.max_rows;
+                sgq_ra::execute_plan(plan, &session.store, &mut ctx).map(|r| r.len())
+            }
         };
         let dur_us = tb.end(span);
         match result {
@@ -210,11 +131,7 @@ pub fn run_query(
                 rows = n;
                 total_ms += dur_us as f64 / 1e3;
             }
-            Err(SgqError::Timeout { .. })
-            | Err(SgqError::RowBudget { .. })
-            | Err(SgqError::Execution(_)) => {
-                return Measurement::Infeasible;
-            }
+            Err(e) if infeasible(&e) => return Measurement::Infeasible,
             Err(other) => panic!("unexpected engine failure: {other}"),
         }
     }
@@ -222,6 +139,37 @@ pub fn run_query(
         ms: total_ms / config.repetitions.max(1) as f64,
         rows,
     }
+}
+
+/// Result cardinalities of the path query `text` on the graph and then
+/// the relational backend, baseline then schema on each (G/B, G/S, R/B,
+/// R/S). Panics when a run is infeasible or the four disagree.
+pub fn cross_check(session: &Session<'_>, text: &str, config: &RunConfig) -> [usize; 4] {
+    let expr = sgq_algebra::parser::parse_path(text, session.schema).expect("query parses");
+    let mut cards = [0; 4];
+    let runs = [Backend::Graph, Backend::Relational]
+        .into_iter()
+        .flat_map(|b| [(b, Approach::Baseline), (b, Approach::Schema)]);
+    for (card, (backend, approach)) in cards.iter_mut().zip(runs) {
+        match run_query(session, &expr, approach, backend, config) {
+            Measurement::Feasible { rows, .. } => *card = rows,
+            Measurement::Infeasible => panic!("{text} infeasible on {backend}/{approach}"),
+        }
+    }
+    assert!(
+        cards.iter().all(|&c| c == cards[0]),
+        "{text} disagrees across backends/approaches: {cards:?}"
+    );
+    cards
+}
+
+/// Whether a failure classifies the run as infeasible (timeout, budget
+/// or execution limit) rather than a harness bug.
+fn infeasible(e: &SgqError) -> bool {
+    matches!(
+        e,
+        SgqError::Timeout { .. } | SgqError::RowBudget { .. } | SgqError::Execution(_)
+    )
 }
 
 #[cfg(test)]
@@ -244,19 +192,30 @@ mod tests {
             "owns/isLocatedIn+",
             "influences+",
         ] {
-            let expr = parse_path(text, &schema).unwrap();
-            let mut cardinalities = Vec::new();
-            for backend in [Backend::Graph, Backend::Relational] {
-                for approach in [Approach::Baseline, Approach::Schema] {
-                    match run_query(&session, &expr, approach, backend, &config) {
-                        Measurement::Feasible { rows, .. } => cardinalities.push(rows),
-                        Measurement::Infeasible => panic!("tiny dataset must be feasible"),
-                    }
-                }
-            }
+            cross_check(&session, text, &config);
+        }
+    }
+
+    #[test]
+    fn provably_empty_query_never_reaches_an_engine() {
+        // dealsWith targets COUNTRY only; owns sources PERSON — Fig. 1
+        // proves the composition empty, so the schema approach prepares
+        // an `Empty` body that measures as exactly zero.
+        let schema = sgq_graph::schema::fig1_yago_schema();
+        let db = sgq_graph::database::fig2_yago_database();
+        let session = Session::new(&schema, &db);
+        let config = RunConfig {
+            repetitions: 1,
+            ..Default::default()
+        };
+        let expr = parse_path("dealsWith/owns", &schema).unwrap();
+        for backend in [Backend::Graph, Backend::Relational] {
+            let schema_run = run_query(&session, &expr, Approach::Schema, backend, &config);
+            assert_eq!(schema_run, Measurement::Feasible { ms: 0.0, rows: 0 });
+            let baseline = run_query(&session, &expr, Approach::Baseline, backend, &config);
             assert!(
-                cardinalities.windows(2).all(|w| w[0] == w[1]),
-                "backends/approaches disagree for {text}: {cardinalities:?}"
+                matches!(baseline, Measurement::Feasible { rows: 0, .. }),
+                "{backend}: {baseline:?}"
             );
         }
     }

@@ -65,6 +65,16 @@ impl Summary {
     }
 }
 
+/// Median of `values` (0.0 when empty); sorts in place. An even count
+/// averages the two middle values.
+pub(crate) fn median(values: &mut [f64]) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    values.sort_unstable_by(f64::total_cmp);
+    percentile(values, 0.5)
+}
+
 /// Linear-interpolation percentile over a sorted sample.
 fn percentile(sorted: &[f64], p: f64) -> f64 {
     let n = sorted.len();
@@ -102,11 +112,13 @@ mod tests {
         assert!((s.q1 - 1.75).abs() < 1e-9);
         assert!((s.median - 2.5).abs() < 1e-9);
         assert!((s.q3 - 3.25).abs() < 1e-9);
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
     }
 
     #[test]
     fn empty_and_singleton() {
         assert!(Summary::compute(&[]).is_none());
+        assert_eq!(median(&mut []), 0.0);
         let s = Summary::compute(&[7.0]).unwrap();
         assert_eq!(s.q1, 7.0);
         assert_eq!(s.max, 7.0);
